@@ -18,11 +18,11 @@ any single seeded sample behaves like one lab specimen.
 
 from __future__ import annotations
 
-import copy
 import enum
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,6 +141,14 @@ SETPOINT_RANGES = {
     AttenuatorClass.VDMC_VOA: (0.0, 80.0),
 }
 
+# Setpoint, dB, of a specimen built without one; the CLI echoes it.
+DEFAULT_SETPOINTS = {
+    AttenuatorClass.MANUAL_VOA: 31.0,
+    AttenuatorClass.FIXED: 25.0,
+    AttenuatorClass.MEMS_VOA: 30.0,
+    AttenuatorClass.VDMC_VOA: 53.0,
+}
+
 # MEMS voltage-attenuation curve parameters.
 MEMS_V_MAX = 15.0
 MEMS_A_MIN = 1.0
@@ -202,9 +210,27 @@ def _draw_fate(u: float, profile: DamageProfile) -> Fate:
     return Fate.RESISTANT
 
 
+class VdmcPoint(NamedTuple):
+    """Exposure bookkeeping of one VDMC disk position; replaced, never mutated."""
+
+    setting_db: float
+    tier_times_s: tuple[float, ...] = (0.0, 0.0, 0.0)
+    max_power_w: float = 0.0
+    damaged: bool = False
+    # set when a cleared exposure drew this point as not vulnerable; the
+    # draw is seeded per point, so every later one would agree
+    resistant: bool = False
+    deepen_count: int = 0
+    depth_db: float = 0.0
+    center_db: float = 0.0
+    hw_lo_db: float = 0.0
+    hw_hi_db: float = 0.0
+
+
 @dataclass
 class AttenuatorState:
-    """One attenuator specimen under attack. Mutate by returning new state."""
+    """One attenuator specimen under attack. Operations return a shallow copy
+    and never mutate their input: shared values are immutable or replaced."""
 
     klass: AttenuatorClass
     profile: DamageProfile
@@ -221,16 +247,15 @@ class AttenuatorState:
     # Fixed-class draws
     fixed_thermal_base_db: float = 0.0
     fixed_failure_increase_db: float = 0.0
-    # MEMS-class draws/state
+    # MEMS-class draw, and the baseline attenuation at which band damage was written
     mems_depth_db: float = 0.0
-    mems_damage: dict | None = None
-    # VDMC per-point exposure bookkeeping
-    vdmc_points: dict = field(default_factory=dict)
+    mems_damaged_at_db: float | None = None
+    # VDMC per-point exposure bookkeeping, keyed by setting in milli-dB
+    vdmc_points: dict[int, VdmcPoint] = field(default_factory=dict)
 
     def copy(self) -> "AttenuatorState":
-        new = copy.copy(self)
-        new.mems_damage = copy.deepcopy(self.mems_damage)
-        new.vdmc_points = copy.deepcopy(self.vdmc_points)
+        new = object.__new__(AttenuatorState)
+        new.__dict__.update(self.__dict__)
         return new
 
 
@@ -245,7 +270,7 @@ def new_attenuator(
         profile = DEFAULT_PROFILES[klass]
     lo, hi = SETPOINT_RANGES[klass]
     if setpoint_db is None:
-        setpoint_db = lo if klass is AttenuatorClass.FIXED else (lo + hi) / 2
+        setpoint_db = DEFAULT_SETPOINTS[klass]
     if not lo <= setpoint_db <= hi:
         raise ValueError(
             f"setpoint {setpoint_db} dB out of range [{lo}, {hi}] for {klass.value}"
@@ -299,66 +324,63 @@ def new_attenuator(
     return state
 
 
-def _point_key(setting_db: float) -> int:
-    return int(round(setting_db * 1000.0))
-
-
-def _vdmc_point_rng(state: AttenuatorState, key: int):
-    return np.random.default_rng([state.seed, abs(key), 0x5D])
-
-
-def _vdmc_dip_db(point: dict, setting_db: float) -> float:
+def _vdmc_dip_db(point: VdmcPoint, setting_db: float) -> float:
     """Triangular (possibly skewed) dip contribution at a query setting."""
-    if not point.get("damaged"):
+    if not point.damaged:
         return 0.0
-    x = setting_db - point["center_db"]
-    hw = point["hw_hi_db"] if x >= 0 else point["hw_lo_db"]
+    x = setting_db - point.center_db
+    hw = point.hw_hi_db if x >= 0 else point.hw_lo_db
     w = max(1.0 - abs(x) / hw, 0.0)
-    return point["depth_db"] * w
+    return point.depth_db * w
 
 
 def attenuation(state: AttenuatorState, control: float | None = None) -> float:
     """Reported attenuation (dB) at a control setting, default the setpoint."""
+    if state.destroyed:
+        return state.blocked_db
     if control is None:
         control = state.control
-    profile = state.profile
+    return _ATTENUATION[state.klass](state, control)
 
-    if state.klass is AttenuatorClass.MANUAL_VOA:
-        lo, hi = SETPOINT_RANGES[state.klass]
-        if not lo <= control <= hi:
-            raise ValueError(f"manual VOA setting out of range: {control}")
-        return control
 
-    if state.klass is AttenuatorClass.FIXED:
-        if state.destroyed:
-            return state.blocked_db
-        return max(
-            state.setpoint_db + state.thermal_offset_db,
-            profile.insertion_loss_floor_db,
-        )
-
-    if state.klass is AttenuatorClass.MEMS_VOA:
-        if state.destroyed:
-            return state.blocked_db
-        baseline = mems_voltage_to_attenuation(control)
-        return max(
-            baseline + _mems_band_offset(state, baseline) + state.thermal_offset_db,
-            profile.insertion_loss_floor_db,
-        )
-
-    # VDMC: baseline is the calibrated identity curve plus any local dips.
+def _check_setting(state: AttenuatorState, control: float) -> None:
     lo, hi = SETPOINT_RANGES[state.klass]
     if not lo <= control <= hi:
-        raise ValueError(f"VDMC setting out of range: {control}")
+        raise ValueError(f"{state.klass.value} setting out of range: {control}")
+
+
+def _manual_attenuation(state: AttenuatorState, control: float) -> float:
+    _check_setting(state, control)
+    return control
+
+
+def _fixed_attenuation(state: AttenuatorState, control: float) -> float:
+    return max(
+        state.setpoint_db + state.thermal_offset_db,
+        state.profile.insertion_loss_floor_db,
+    )
+
+
+def _mems_attenuation(state: AttenuatorState, control: float) -> float:
+    baseline = mems_voltage_to_attenuation(control)
+    return max(
+        baseline + _mems_band_offset(state, baseline) + state.thermal_offset_db,
+        state.profile.insertion_loss_floor_db,
+    )
+
+
+def _vdmc_attenuation(state: AttenuatorState, control: float) -> float:
+    # baseline is the calibrated identity curve plus any local dips
+    _check_setting(state, control)
     value = control + state.thermal_offset_db
     for point in state.vdmc_points.values():
         value += _vdmc_dip_db(point, control)
-    return max(value, profile.insertion_loss_floor_db)
+    return max(value, state.profile.insertion_loss_floor_db)
 
 
 def _mems_band_offset(state: AttenuatorState, baseline_db: float) -> float:
-    dmg = state.mems_damage
-    if dmg is None:
+    a0_db = state.mems_damaged_at_db
+    if a0_db is None:
         return 0.0
     span = MEMS_A_MAX - MEMS_A_MIN
     band_lo = MEMS_A_MIN + (1.0 - MEMS_BAND_FRACTION) * span
@@ -369,8 +391,11 @@ def _mems_band_offset(state: AttenuatorState, baseline_db: float) -> float:
             return 1.0
         return max((a - (band_lo - taper)) / taper, 0.0)
 
-    w0 = max(weight(dmg["a0_db"]), 0.25)
-    return dmg["depth_db"] * min(weight(baseline_db) / w0, 1.0)
+    w0 = max(weight(a0_db), 0.25)
+    return state.mems_depth_db * min(weight(baseline_db) / w0, 1.0)
+
+
+_NO_CHANGE = ExposureOutcome(OutcomeKind.NO_CHANGE)
 
 
 def apply_exposure(
@@ -391,144 +416,129 @@ def apply_exposure(
     new = state.copy()
     new.clock_s += duration_s
     if power_w == 0.0:
-        return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
-    p_dbm = watts_to_dbm(power_w)
-
-    if state.klass is AttenuatorClass.MANUAL_VOA:
-        return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
-
-    if state.klass is AttenuatorClass.FIXED:
-        return _expose_fixed(new, power_w, p_dbm)
-
-    if state.klass is AttenuatorClass.MEMS_VOA:
-        return _expose_mems(new, p_dbm)
-
-    return _expose_vdmc(new, power_w, p_dbm, duration_s)
+        return new, _NO_CHANGE
+    return new, _EXPOSE[state.klass](new, power_w, watts_to_dbm(power_w), duration_s)
 
 
-def _expose_fixed(new: AttenuatorState, power_w: float, p_dbm: float):
+# Each _expose_* function updates `new`, a fresh copy it owns, and returns
+# the outcome.
+def _expose_fixed(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
     if new.fate is Fate.FAILURE and p_dbm >= new.sampled_failure_threshold_dbm:
         new.destroyed = True
         new.thermal_offset_db = 0.0
         new.blocked_db = new.setpoint_db + new.fixed_failure_increase_db
-        return new, ExposureOutcome(
-            OutcomeKind.CRITICAL_FAILURE, new.fixed_failure_increase_db
-        )
+        return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, new.fixed_failure_increase_db)
     if p_dbm >= new.sampled_attack_threshold_dbm:
         p_ref_w = 10.0 ** (new.profile.attack_threshold_dbm / 10.0) / 1000.0
         scale = min(power_w / p_ref_w, FIXED_THERMAL_POWER_CAP)
         drop = new.fixed_thermal_base_db * scale
         new.thermal_offset_db = -drop
-        return new, ExposureOutcome(OutcomeKind.TEMPORARY_DROP, -drop)
-    return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
+        return ExposureOutcome(OutcomeKind.TEMPORARY_DROP, -drop)
+    return _NO_CHANGE
 
 
-def _expose_mems(new: AttenuatorState, p_dbm: float):
+def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
     baseline = mems_voltage_to_attenuation(new.control)
     if new.fate is Fate.FAILURE and p_dbm >= new.sampled_failure_threshold_dbm:
         new.destroyed = True
         new.blocked_db = MEMS_BLOCKED_DB
-        return new, ExposureOutcome(
-            OutcomeKind.CRITICAL_FAILURE, MEMS_BLOCKED_DB - baseline
-        )
+        return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, MEMS_BLOCKED_DB - baseline)
     if (
         new.fate is Fate.SUCCESS
-        and new.mems_damage is None
+        and new.mems_damaged_at_db is None
         and p_dbm >= new.sampled_attack_threshold_dbm
     ):
-        new.mems_damage = {"depth_db": new.mems_depth_db, "a0_db": baseline}
-        return new, ExposureOutcome(OutcomeKind.PERMANENT_DROP, new.mems_depth_db)
-    return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
+        new.mems_damaged_at_db = baseline
+        return ExposureOutcome(OutcomeKind.PERMANENT_DROP, new.mems_depth_db)
+    return _NO_CHANGE
 
 
-def _vdmc_required_time_s(p_dbm: float, sampled_thr_dbm: float) -> float:
-    """Cumulative exposure needed for damage at this power, inf if below law."""
-    req = math.inf
-    for off, t_req in zip(VDMC_TIER_OFFSETS_DB, VDMC_TIER_TIMES_S):
-        if p_dbm >= sampled_thr_dbm + off:
-            req = t_req
-    return req
+def _expose_vdmc(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
+    key = int(round(new.control * 1000.0))
+    point, outcome = _exposed_vdmc_point(new, key, power_w, p_dbm, duration_s)
+    # a new dict, so the input state's points stay as they were
+    new.vdmc_points = {**new.vdmc_points, key: point}
+    return outcome
 
 
-def _expose_vdmc(new: AttenuatorState, power_w: float, p_dbm: float, duration_s: float):
-    key = _point_key(new.control)
-    point = new.vdmc_points.setdefault(
-        key,
-        {
-            "setting_db": new.control,
-            "tier_times_s": [0.0, 0.0, 0.0],
-            "damaged": False,
-            "max_power_w": 0.0,
-            "deepen_count": 0,
-        },
+def _exposed_vdmc_point(
+    new: AttenuatorState, key: int, power_w, p_dbm, duration_s
+) -> tuple[VdmcPoint, ExposureOutcome]:
+    old = new.vdmc_points.get(key) or VdmcPoint(setting_db=new.control)
+    thr = new.sampled_attack_threshold_dbm
+    point = old._replace(
+        tier_times_s=tuple(
+            t + duration_s if p_dbm >= thr + off else t
+            for t, off in zip(old.tier_times_s, VDMC_TIER_OFFSETS_DB)
+        ),
+        max_power_w=max(old.max_power_w, power_w),
     )
-    for i, off in enumerate(VDMC_TIER_OFFSETS_DB):
-        if p_dbm >= new.sampled_attack_threshold_dbm + off:
-            point["tier_times_s"][i] += duration_s
-
-    cleared = any(
-        t >= t_req for t, t_req in zip(point["tier_times_s"], VDMC_TIER_TIMES_S)
-    )
+    cleared = any(t >= t_req for t, t_req in zip(point.tier_times_s, VDMC_TIER_TIMES_S))
     if not cleared:
-        point["max_power_w"] = max(point["max_power_w"], power_w)
-        return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
+        return point, _NO_CHANGE
 
-    rng = _vdmc_point_rng(new, key)
-    point_vulnerable = rng.random() < new.profile.success_probability
-    optimal = p_dbm >= new.sampled_attack_threshold_dbm
-
-    if not point["damaged"]:
-        if not point_vulnerable:
-            point["max_power_w"] = max(point["max_power_w"], power_w)
-            return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
-        depth = _truncated_normal_below(
-            rng,
-            new.profile.success_delta_db_mean,
-            new.profile.success_delta_db_spread,
-            -1.0,
+    if old.damaged:
+        # repeated exposure at clearly higher power deepens the dip with
+        # diminishing returns; damage never self-heals
+        if power_w <= old.max_power_w + 0.4:
+            return point, _NO_CHANGE
+        count = old.deepen_count + 1
+        deeper = point._replace(
+            deepen_count=count,
+            depth_db=old.depth_db + old.depth_db * VDMC_DEEPEN_FACTOR ** count,
         )
-        if optimal:
-            center, hw_lo, hw_hi = new.control, VDMC_DIP_HALF_WIDTH_DB, VDMC_DIP_HALF_WIDTH_DB
-        else:
-            # suboptimal (low power, long time): shallower skewed dip with
-            # its minimum displaced from the irradiated setting
-            depth *= 0.8
-            shift = rng.uniform(0.1, 0.3) * (1 if rng.random() < 0.5 else -1)
-            center = new.control + shift
-            hw_lo, hw_hi = 0.3, 0.7
-        point.update(
-            damaged=True,
-            depth_db=depth,
-            center_db=center,
-            hw_lo_db=hw_lo,
-            hw_hi_db=hw_hi,
-            max_power_w=max(point["max_power_w"], power_w),
-        )
-        delta = _measured_vdmc_delta(new, point)
-        if delta >= 0:
-            return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
-        return new, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
-
-    # repeated exposure at clearly higher power deepens the dip with
-    # diminishing returns; damage never self-heals
-    if power_w > point["max_power_w"] + 0.4:
-        point["deepen_count"] += 1
-        extra = point["depth_db"] * VDMC_DEEPEN_FACTOR ** point["deepen_count"]
-        before = _measured_vdmc_delta(new, point)
-        point["depth_db"] += extra
-        point["max_power_w"] = power_w
-        delta = _measured_vdmc_delta(new, point) - before
+        delta = _measured_vdmc_delta(new, deeper) - _measured_vdmc_delta(new, point)
         if delta < 0:
-            return new, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
-    point["max_power_w"] = max(point["max_power_w"], power_w)
-    return new, ExposureOutcome(OutcomeKind.NO_CHANGE)
+            return deeper, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
+        return deeper, _NO_CHANGE
+
+    if old.resistant:
+        return point, _NO_CHANGE
+    rng = np.random.default_rng([new.seed, abs(key), 0x5D])
+    profile = new.profile
+    if not rng.random() < profile.success_probability:
+        return point._replace(resistant=True), _NO_CHANGE
+    depth = _truncated_normal_below(
+        rng, profile.success_delta_db_mean, profile.success_delta_db_spread, -1.0
+    )
+    if p_dbm >= thr:  # optimal exposure: a symmetric dip at the setting
+        center, hw_lo, hw_hi = new.control, VDMC_DIP_HALF_WIDTH_DB, VDMC_DIP_HALF_WIDTH_DB
+    else:
+        # suboptimal (low power, long time): shallower skewed dip with
+        # its minimum displaced from the irradiated setting
+        depth *= 0.8
+        shift = rng.uniform(0.1, 0.3) * (1 if rng.random() < 0.5 else -1)
+        center = new.control + shift
+        hw_lo, hw_hi = 0.3, 0.7
+    point = point._replace(
+        damaged=True, depth_db=depth, center_db=center, hw_lo_db=hw_lo, hw_hi_db=hw_hi
+    )
+    delta = _measured_vdmc_delta(new, point)
+    if delta >= 0:
+        return point, _NO_CHANGE
+    return point, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
 
 
-def _measured_vdmc_delta(state: AttenuatorState, point: dict) -> float:
-    setting = point["setting_db"]
+def _measured_vdmc_delta(state: AttenuatorState, point: VdmcPoint) -> float:
+    setting = point.setting_db
     floor = state.profile.insertion_loss_floor_db
     baseline = max(setting, floor)
     return max(setting + _vdmc_dip_db(point, setting), floor) - baseline
+
+
+_ATTENUATION = {
+    AttenuatorClass.MANUAL_VOA: _manual_attenuation,
+    AttenuatorClass.FIXED: _fixed_attenuation,
+    AttenuatorClass.MEMS_VOA: _mems_attenuation,
+    AttenuatorClass.VDMC_VOA: _vdmc_attenuation,
+}
+
+_EXPOSE = {
+    AttenuatorClass.MANUAL_VOA: lambda new, power_w, p_dbm, duration_s: _NO_CHANGE,
+    AttenuatorClass.FIXED: _expose_fixed,
+    AttenuatorClass.MEMS_VOA: _expose_mems,
+    AttenuatorClass.VDMC_VOA: _expose_vdmc,
+}
 
 
 def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:

@@ -11,6 +11,7 @@ connector, or the maximum deliverable power being exhausted.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -56,6 +57,9 @@ class CampaignConfig:
     fuse_threshold_w: float = 4.5
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.start_power_dbm > self.max_power_dbm:
             raise ValueError("start power must not exceed max power")
         if not 0.5 <= self.step_dbm <= 1.0:
@@ -102,7 +106,7 @@ class CampaignResult:
             "outcome": self.outcome.value,
             "final_delta_db": self.final_delta_db,
             "attack_power_dbm": self.attack_power_dbm,
-            "steps": [asdict(s) for s in self.steps],
+            "steps": [dict(vars(s)) for s in self.steps],
         }
 
 
@@ -141,10 +145,10 @@ def run_campaign(
     attack_power: float | None = None
 
     p_dbm = config.start_power_dbm
+    before = baseline_db  # each step starts from the previous step's `after`
     while True:
         p_set = min(p_dbm, cap_dbm)
         p_delivered = delivered_power(link, dbm_to_watts(p_set))
-        before = attenuation(state)
 
         if check_fuse(config, p_delivered):
             steps.append(
@@ -195,6 +199,7 @@ def run_campaign(
             final_delta = delta_post
             break
         p_dbm += config.step_dbm
+        before = after
 
     return CampaignResult(
         outcome=outcome,

@@ -16,29 +16,24 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import fiber
 from .attenuators import (
     AttenuatorClass,
     DEFAULT_PROFILES,
+    DEFAULT_SETPOINTS,
     ProfileConfigError,
     load_profiles,
     new_attenuator,
 )
-from .campaign import CampaignConfig, monte_carlo, run_campaign
+from .campaign import SCHEMA_VERSION, CampaignConfig, monte_carlo, run_campaign, trial_seeds
 from .impact import impact_report
 from .risk import Prior, RiskQuery, TestRecord, risk_report
 
 EXIT_CONFIG_ERROR = 3
 
 CONFIG_ENV_VAR = "QLA_CONFIG"
-
-DEFAULT_SETPOINTS = {
-    AttenuatorClass.MANUAL_VOA: 31.0,
-    AttenuatorClass.FIXED: 25.0,
-    AttenuatorClass.MEMS_VOA: 30.0,
-    AttenuatorClass.VDMC_VOA: 53.0,
-}
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -50,7 +45,7 @@ def _emit(text: str, output_path: str | None) -> None:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,10 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_thresholds(args, parser) -> int:
-    if args.points < 2:
-        parser.error(f"--points must be >= 2, got {args.points}")
-    if not 0 < args.l_min_km < args.l_max_km:
-        parser.error("need 0 < --l-min-km < --l-max-km")
     try:
         template = fiber.FiberLink(
             length_km=args.l_max_km,
@@ -152,11 +143,7 @@ def _cmd_campaign(args, parser) -> int:
         profiles = DEFAULT_PROFILES
     profile = profiles[klass]
 
-    setpoint = args.setpoint_db
-    if setpoint is None:
-        setpoint = DEFAULT_SETPOINTS[klass]
-    if args.trials < 1:
-        parser.error(f"--trials must be >= 1, got {args.trials}")
+    setpoint = DEFAULT_SETPOINTS[klass] if args.setpoint_db is None else args.setpoint_db
 
     try:
         config = CampaignConfig(
@@ -172,8 +159,6 @@ def _cmd_campaign(args, parser) -> int:
         laser = fiber.LaserSource()
 
         if args.trials == 1:
-            from .campaign import trial_seeds
-
             state = new_attenuator(
                 klass, profile, setpoint, seed=trial_seeds(args.seed, 1)[0]
             )
@@ -192,8 +177,8 @@ def _cmd_campaign(args, parser) -> int:
                 collect_results=True,
             )
             doc = {
-                "schema": 1,
-                "config": result_config_echo(config),
+                "schema": SCHEMA_VERSION,
+                "config": asdict(config),
                 "attenuator_class": klass.value,
                 "setpoint_db": setpoint,
                 "seed": args.seed,
@@ -207,15 +192,7 @@ def _cmd_campaign(args, parser) -> int:
     return 0
 
 
-def result_config_echo(config: CampaignConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(config)
-
-
 def _cmd_impact(args, parser) -> int:
-    if args.mu0 <= 0:
-        parser.error(f"--mu0 must be > 0, got {args.mu0}")
     try:
         report = impact_report(args.delta_db, mu_before=args.mu0)
     except ValueError as exc:

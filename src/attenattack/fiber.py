@@ -9,7 +9,7 @@ SI units (W, m); dBm and um^2 appear only at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # Standard SMF-28 constants at 1550 nm.
 DEFAULT_ALPHA_PER_KM = 0.05      # natural-log loss, 1/km
@@ -43,13 +43,14 @@ class FiberLink:
     delta_nu_b_mhz: float = DEFAULT_DELTA_NU_B_MHZ
 
     def __post_init__(self):
-        if self.length_km <= 0:
-            raise ValueError(f"length_km must be > 0, got {self.length_km}")
-        if self.alpha_per_km < 0:
-            raise ValueError(f"alpha_per_km must be >= 0, got {self.alpha_per_km}")
+        # `< math.inf` also rejects NaN, which fails every comparison
+        if not 0 < self.length_km < math.inf:
+            raise ValueError(f"length_km must be finite and > 0, got {self.length_km}")
+        if not 0 <= self.alpha_per_km < math.inf:
+            raise ValueError(f"alpha_per_km must be finite and >= 0, got {self.alpha_per_km}")
         for name in ("a_eff_um2", "g_r_m_per_w", "g_b_m_per_w", "delta_nu_b_mhz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,12 @@ class LaserSource:
     wavelength_nm: float = 1550.0
 
     def __post_init__(self):
-        if self.max_power_w < 0:
-            raise ValueError(f"max_power_w must be >= 0, got {self.max_power_w}")
-        if self.linewidth_ghz < 0:
-            raise ValueError(f"linewidth_ghz must be >= 0, got {self.linewidth_ghz}")
-        if self.wavelength_nm <= 0:
-            raise ValueError(f"wavelength_nm must be > 0, got {self.wavelength_nm}")
+        if not 0 <= self.max_power_w < math.inf:
+            raise ValueError(f"max_power_w must be finite and >= 0, got {self.max_power_w}")
+        if not 0 <= self.linewidth_ghz < math.inf:
+            raise ValueError(f"linewidth_ghz must be finite and >= 0, got {self.linewidth_ghz}")
+        if not 0 < self.wavelength_nm < math.inf:
+            raise ValueError(f"wavelength_nm must be finite and > 0, got {self.wavelength_nm}")
 
 
 def effective_length(link: FiberLink) -> float:
@@ -151,14 +152,7 @@ def threshold_curve(
     lengths, srs, sbs = [], [], []
     for i in range(n_points):
         l_km = 10.0 ** (log_lo + (log_hi - log_lo) * i / (n_points - 1))
-        link = FiberLink(
-            length_km=l_km,
-            alpha_per_km=link_template.alpha_per_km,
-            a_eff_um2=link_template.a_eff_um2,
-            g_r_m_per_w=link_template.g_r_m_per_w,
-            g_b_m_per_w=link_template.g_b_m_per_w,
-            delta_nu_b_mhz=link_template.delta_nu_b_mhz,
-        )
+        link = replace(link_template, length_km=l_km)
         lengths.append(l_km)
         srs.append(srs_threshold(link))
         sbs.append(sbs_threshold(link, laser))

@@ -31,8 +31,8 @@ def mpn_ratio(delta_attenuation_db: float) -> float:
 
 def adjusted_mu(mu0: float, delta_attenuation_db: float) -> float:
     """Mean photon number after the attenuation change."""
-    if mu0 <= 0:
-        raise ValueError(f"mu0 must be > 0, got {mu0}")
+    if not 0 < mu0 < math.inf:
+        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
     return mu0 * mpn_ratio(delta_attenuation_db)
 
 

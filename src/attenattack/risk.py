@@ -12,8 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc, betaln, gammaln
-
 
 class Prior(enum.Enum):
     JEFFREYS = "jeffreys"
@@ -58,6 +56,16 @@ class RiskQuery:
             raise ValueError("vulnerable_fraction must lie in (0, 1)")
 
 
+# Bound from scipy.special on first use by _import_special: that import is
+# most of the package's import time, and only this module needs it.
+betainc = betaln = gammaln = None
+
+
+def _import_special() -> None:
+    global betainc, betaln, gammaln
+    from scipy.special import betainc, betaln, gammaln
+
+
 def posterior(record: TestRecord, prior: Prior = Prior.JEFFREYS) -> tuple[float, float]:
     """Beta posterior (alpha, beta) over the per-system vulnerability rate."""
     a0, b0 = _PRIOR_PARAMS[prior]
@@ -70,6 +78,8 @@ def beta_binomial_pmf(k: int, m: int, alpha: float, beta: float) -> float:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be > 0")
+    if gammaln is None:
+        _import_special()
     log_pmf = (
         gammaln(m + 1)
         - gammaln(k + 1)
@@ -99,6 +109,8 @@ def prob_fraction_vulnerable_exceeds(query: RiskQuery) -> float:
 def prob_exceeds_infinite_population(query: RiskQuery) -> float:
     """Infinite-population limit: P(p > frac) = 1 - BetaCDF(frac; a, b)."""
     alpha, beta = posterior(query.record, query.prior)
+    if betainc is None:
+        _import_special()
     return float(1.0 - betainc(alpha, beta, query.vulnerable_fraction))
 
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 
@@ -278,6 +280,37 @@ class TestExposureValidation:
             return trace
 
         assert run(17) == run(17)
+
+    @given(
+        klass=st.sampled_from(list(AttenuatorClass)),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        exposures=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=9.0),
+                st.sampled_from([10.0, 40.0, 200.0]),
+                st.sampled_from([0.0, 0.5, -1.0]),  # VDMC disk offset, dB
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_operations_never_mutate_their_input(self, klass, seed, exposures):
+        state = new_attenuator(klass, seed=seed)
+        snapshots = []
+        for power_w, duration_s, offset_db in exposures:
+            if state.destroyed:
+                break
+            if klass is AttenuatorClass.VDMC_VOA:
+                # expose several disk positions, so states share point maps
+                state = dataclasses.replace(state, control=state.setpoint_db + offset_db)
+            snapshots.append((state, copy.deepcopy(state)))
+            exposed, _ = apply_exposure(state, power_w, duration_s)
+            snapshots.append((exposed, copy.deepcopy(exposed)))
+            state = cool_down(exposed, 10.0)
+        # no later operation changed any earlier state, VDMC points included
+        for seen, snapshot in snapshots:
+            assert seen == snapshot
 
 
 class TestProfiles:

@@ -8,7 +8,8 @@ import pytest
 
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "attenattack", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    # a hang fails the test instead of stalling the suite
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestThresholds:
@@ -148,6 +149,39 @@ class TestRisk:
     def test_inconsistent_counts(self):
         cp = run_cli("risk", "--tested", "5", "--compromised", "6")
         assert cp.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("campaign", "--class", "fixed", "--start-dbm", "nan"),
+        ("campaign", "--class", "fixed", "--dwell-s", "nan"),
+        ("campaign", "--class", "fixed", "--max-dbm", "nan"),
+        ("campaign", "--class", "fixed", "--length-km", "inf"),
+        ("thresholds", "--l-max-km", "inf"),
+        ("impact", "--delta-db", "-1", "--mu0", "nan"),
+    ],
+)
+def test_non_finite_flag_exits_2(args):
+    cp = run_cli(*args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+
+
+def test_only_risk_imports_scipy():
+    code = """
+import contextlib, io, sys
+from attenattack.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(["campaign", "--class", "vdmc-voa", "--trials", "3", "--per-trial"])
+    main(["thresholds", "--points", "5"])
+    main(["impact", "--delta-db", "-1"])
+    assert "scipy" not in sys.modules, "scipy imported before risk"
+    main(["risk"])
+assert "scipy" in sys.modules
+"""
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr
 
 
 def test_help_smoke():
