@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -240,9 +241,14 @@ def monte_carlo(
     seed: int = 0,
     link: FiberLink | None = None,
     laser: LaserSource | None = None,
-    collect_results: bool = False,
-) -> MonteCarloSummary | tuple[MonteCarloSummary, list[CampaignResult]]:
-    """Run independent seeded campaigns and aggregate outcome statistics."""
+    on_result: Callable[[CampaignResult], None] | None = None,
+) -> MonteCarloSummary:
+    """Run independent seeded campaigns and aggregate outcome statistics.
+
+    `on_result`, if given, sees each trial's result as soon as it finishes;
+    no result outlives its trial here, so memory does not grow with
+    `n_trials`.
+    """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if link is None:
@@ -253,7 +259,6 @@ def monte_carlo(
     counts = {o: 0 for o in CampaignOutcome}
     success_deltas: list[float] = []
     attack_powers: list[float] = []
-    results: list[CampaignResult] = []
 
     for trial_seed in trial_seeds(seed, n_trials):
         state = new_attenuator(klass, profile, setpoint_db, seed=trial_seed)
@@ -262,10 +267,10 @@ def monte_carlo(
         if result.outcome is CampaignOutcome.SUCCESS:
             success_deltas.append(result.final_delta_db)
             attack_powers.append(result.attack_power_dbm)
-        if collect_results:
-            results.append(result)
+        if on_result is not None:
+            on_result(result)
 
-    summary = MonteCarloSummary(
+    return MonteCarloSummary(
         n_trials=n_trials,
         success_rate=counts[CampaignOutcome.SUCCESS] / n_trials,
         critical_failure_rate=counts[CampaignOutcome.CRITICAL_FAILURE] / n_trials,
@@ -278,6 +283,3 @@ def monte_carlo(
             sum(attack_powers) / len(attack_powers) if attack_powers else None
         ),
     )
-    if collect_results:
-        return summary, results
-    return summary

@@ -13,10 +13,12 @@ to stderr. Exit codes: 0 ok, 2 flag validation, 3 config schema violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import fiber
 from .attenuators import (
@@ -36,16 +38,75 @@ EXIT_CONFIG_ERROR = 3
 CONFIG_ENV_VAR = "QLA_CONFIG"
 
 
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path:
-        with open(output_path, "w") as f:
-            f.write(text)
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+# Exact types the C encoder writes as one token, the same as the stdlib does
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(level: int):
+    """C encoder for a container of scalars nested `level` deep.
+
+    Its item separator carries the newline and indent that indent mode puts
+    between items, so only the brackets need re-spacing.
+    """
+    return c_make_encoder(
+        None,  # no circular-reference markers: documents here are trees
+        json.JSONEncoder().default,
+        encode_basestring_ascii,
+        None,
+        ": ",
+        ",\n" + _INDENT * (level + 1),
+        True,  # sort_keys
+        False,  # skipkeys
+        False,  # allow_nan
+    )
+
+
+def _encode(obj, level: int, emit) -> None:
+    """Emit `obj` nested `level` deep, as indent-2 sorted strict JSON."""
+    if not isinstance(obj, _CONTAINERS):
+        emit("".join(_flat_encoder(level)(obj, level)))
+        return
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not obj:
+        emit(opening + closing)
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        flat = "".join(_flat_encoder(level)(obj, level))
+        emit(opening + inner + flat[1:-1] + "\n" + _INDENT * level + closing)
+        return
+    if is_dict:
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
     else:
-        sys.stdout.write(text)
+        items = [("", v) for v in obj]
+    sep = opening + inner
+    for prefix, value in items:
+        emit(sep + prefix)
+        _encode(value, level + 1, emit)
+        sep = "," + inner
+    emit("\n" + _INDENT * level + closing)
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json(obj, level: int = 0) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`, byte for
+    byte, for a tree of dicts (string keys), lists and scalars, with every
+    line after the first indented `level` deep.
+
+    The stdlib writes indented JSON with its pure-Python encoder; this one
+    hands each container of scalars to the C encoder instead.
+    """
+    chunks: list[str] = []
+    _encode(obj, level, chunks.append)
+    return "".join(chunks)
+
+
+def _write(out, *chunks: str) -> None:
+    """Write to the --out file, or else to whatever sys.stdout is now."""
+    (out or sys.stdout).writelines(chunks)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_thresholds(args, parser) -> int:
+def _cmd_thresholds(args, parser, out) -> int:
     try:
         template = fiber.FiberLink(
             length_km=args.l_max_km,
@@ -126,11 +187,11 @@ def _cmd_thresholds(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(curve.to_csv(), args.out)
+    _write(out, curve.to_csv())
     return 0
 
 
-def _cmd_campaign(args, parser) -> int:
+def _cmd_campaign(args, parser, out) -> int:
     klass = AttenuatorClass(args.attenuator_class)
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
@@ -158,14 +219,21 @@ def _cmd_campaign(args, parser) -> int:
         link = fiber.FiberLink(length_km=args.length_km)
         laser = fiber.LaserSource()
 
+        # Each trial of a multi-trial run is encoded as it finishes; only its
+        # text is kept, after the separator that precedes it in "trials".
+        trials: list[str] = []
+
+        def keep(result) -> None:
+            trials.append(",\n    " if trials else "\n    ")
+            trials.append(_json(result.to_json_dict(config), 2))
+
         if args.trials == 1:
             state = new_attenuator(
                 klass, profile, setpoint, seed=trial_seeds(args.seed, 1)[0]
             )
             result = run_campaign(config, state, link, laser)
-            doc = result.to_json_dict(config)
         else:
-            summary, results = monte_carlo(
+            summary = monte_carlo(
                 config,
                 klass,
                 profile,
@@ -174,35 +242,41 @@ def _cmd_campaign(args, parser) -> int:
                 seed=args.seed,
                 link=link,
                 laser=laser,
-                collect_results=True,
+                on_result=keep if args.per_trial else None,
             )
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "config": asdict(config),
-                "attenuator_class": klass.value,
-                "setpoint_db": setpoint,
-                "seed": args.seed,
-                "summary": summary.to_json_dict(),
-            }
-            if args.per_trial:
-                doc["trials"] = [r.to_json_dict(config) for r in results]
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(_dump_json(doc), args.out)
+    if args.trials == 1:
+        _write(out, _json(result.to_json_dict(config)), "\n")
+        return 0
+    doc = _json({
+        "schema": SCHEMA_VERSION,
+        "config": asdict(config),
+        "attenuator_class": klass.value,
+        "setpoint_db": setpoint,
+        "seed": args.seed,
+        "summary": summary.to_json_dict(),
+    })
+    if not args.per_trial:
+        _write(out, doc, "\n")
+        return 0
+    # "trials" sorts after every other key, so it goes in just before the
+    # closing "\n}" of the document encoded without it.
+    _write(out, doc[:-2], ',\n  "trials": [', *trials, "\n  ]\n}\n")
     return 0
 
 
-def _cmd_impact(args, parser) -> int:
+def _cmd_impact(args, parser, out) -> int:
     try:
         report = impact_report(args.delta_db, mu_before=args.mu0)
     except ValueError as exc:
         parser.error(str(exc))
     print(report.summary_line(), file=sys.stderr)
-    _emit(_dump_json(report.to_json_dict()), args.out)
+    _write(out, _json(report.to_json_dict()), "\n")
     return 0
 
 
-def _cmd_risk(args, parser) -> int:
+def _cmd_risk(args, parser, out) -> int:
     try:
         query = RiskQuery(
             record=TestRecord(
@@ -216,7 +290,7 @@ def _cmd_risk(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(_dump_json(risk_report(query)), args.out)
+    _write(out, _json(risk_report(query)), "\n")
     return 0
 
 
@@ -229,7 +303,24 @@ def main(argv: list[str] | None = None) -> int:
         "impact": _cmd_impact,
         "risk": _cmd_risk,
     }
-    return handlers[args.subcommand](args, parser)
+    handler = handlers[args.subcommand]
+    if args.out is None:
+        return handler(args, parser, None)
+    # Opened before any compute, so a bad path fails at once. A run that
+    # fails removes the file it created rather than leave it empty.
+    created = not os.path.exists(args.out)
+    try:
+        out = open(args.out, "w")
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: cannot open --out {args.out}: {exc.strerror}\n")
+    code = None
+    try:
+        with out:
+            code = handler(args, parser, out)
+    finally:
+        if code != 0 and created:
+            os.remove(args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ SI units (W, m); dBm and um^2 appear only at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Standard SMF-28 constants at 1550 nm.
 DEFAULT_ALPHA_PER_KM = 0.05      # natural-log loss, 1/km
@@ -17,6 +17,9 @@ DEFAULT_A_EFF_UM2 = 50.0         # effective core area, um^2
 DEFAULT_G_R_M_PER_W = 6.67e-14   # Raman-gain coefficient, m/W
 DEFAULT_G_B_M_PER_W = 5e-11      # Brillouin-gain coefficient, m/W
 DEFAULT_DELTA_NU_B_MHZ = 16.0    # Brillouin-gain FWHM, MHz
+
+# Most grid points threshold_curve tabulates: at ~56 bytes a CSV row, ~56 MB.
+MAX_CURVE_POINTS = 10**6
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -72,8 +75,12 @@ class LaserSource:
 
 def effective_length(link: FiberLink) -> float:
     """Loss-weighted nonlinear interaction length (1 - e^-aL)/a, in meters."""
-    length_m = link.length_km * 1000.0
-    alpha_per_m = link.alpha_per_km / 1000.0
+    return _effective_length_m(link.length_km, link.alpha_per_km)
+
+
+def _effective_length_m(length_km: float, alpha_per_km: float) -> float:
+    length_m = length_km * 1000.0
+    alpha_per_m = alpha_per_km / 1000.0
     if alpha_per_m == 0.0:
         return length_m
     # expm1 keeps precision for short fibers where aL << 1
@@ -82,8 +89,12 @@ def effective_length(link: FiberLink) -> float:
 
 def srs_threshold(link: FiberLink) -> float:
     """Backward-SRS input power threshold, watts: 20 A_eff / (g_R L_eff)."""
+    return _srs_threshold(link, effective_length(link))
+
+
+def _srs_threshold(link: FiberLink, l_eff_m: float) -> float:
     a_eff_m2 = link.a_eff_um2 * 1e-12
-    return 20.0 * a_eff_m2 / (link.g_r_m_per_w * effective_length(link))
+    return 20.0 * a_eff_m2 / (link.g_r_m_per_w * l_eff_m)
 
 
 def sbs_threshold(link: FiberLink, laser: LaserSource) -> float:
@@ -92,8 +103,12 @@ def sbs_threshold(link: FiberLink, laser: LaserSource) -> float:
     21 A_eff / (g_B L_eff), enhanced by (1 + dnu_pump/dnu_Brillouin) when the
     pump linewidth exceeds the Brillouin-gain bandwidth.
     """
+    return _sbs_threshold(link, laser, effective_length(link))
+
+
+def _sbs_threshold(link: FiberLink, laser: LaserSource, l_eff_m: float) -> float:
     a_eff_m2 = link.a_eff_um2 * 1e-12
-    narrowband = 21.0 * a_eff_m2 / (link.g_b_m_per_w * effective_length(link))
+    narrowband = 21.0 * a_eff_m2 / (link.g_b_m_per_w * l_eff_m)
     broadening = 1.0 + (laser.linewidth_ghz * 1e3) / link.delta_nu_b_mhz
     return narrowband * broadening
 
@@ -142,18 +157,25 @@ def threshold_curve(
     l_max_km: float,
     n_points: int,
 ) -> ThresholdCurve:
-    """Tabulate both backscattering thresholds versus fiber length."""
-    if not (0 < l_min_km < l_max_km):
-        raise ValueError(f"need 0 < l_min < l_max, got {l_min_km}, {l_max_km}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    """Tabulate both backscattering thresholds versus fiber length.
+
+    Only the length of `link_template` varies over the grid; every other
+    field applies at each point.
+    """
+    # `< math.inf` also rejects NaN, which fails every comparison
+    if not 0 < l_min_km < l_max_km < math.inf:
+        raise ValueError(f"need 0 < l_min < l_max < inf, got {l_min_km}, {l_max_km}")
+    if not 2 <= n_points <= MAX_CURVE_POINTS:
+        raise ValueError(f"n_points must lie in [2, {MAX_CURVE_POINTS}], got {n_points}")
     log_lo = math.log10(l_min_km)
     log_hi = math.log10(l_max_km)
-    lengths, srs, sbs = [], [], []
-    for i in range(n_points):
-        l_km = 10.0 ** (log_lo + (log_hi - log_lo) * i / (n_points - 1))
-        link = replace(link_template, length_km=l_km)
-        lengths.append(l_km)
-        srs.append(srs_threshold(link))
-        sbs.append(sbs_threshold(link, laser))
-    return ThresholdCurve(lengths_km=lengths, p_srs_w=srs, p_sbs_w=sbs)
+    lengths = [
+        10.0 ** (log_lo + (log_hi - log_lo) * i / (n_points - 1)) for i in range(n_points)
+    ]
+    alpha = link_template.alpha_per_km
+    l_effs = [_effective_length_m(l_km, alpha) for l_km in lengths]
+    return ThresholdCurve(
+        lengths_km=lengths,
+        p_srs_w=[_srs_threshold(link_template, l_eff) for l_eff in l_effs],
+        p_sbs_w=[_sbs_threshold(link_template, laser, l_eff) for l_eff in l_effs],
+    )

@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Prior(enum.Enum):
     JEFFREYS = "jeffreys"
@@ -22,6 +24,10 @@ _PRIOR_PARAMS = {
     Prior.JEFFREYS: (0.5, 0.5),
     Prior.UNIFORM: (1.0, 1.0),
 }
+
+# Largest population a query may describe: the tail sum holds a few float64
+# arrays of up to this length, so a query stays within tens of MB.
+MAX_POPULATION = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,10 @@ class RiskQuery:
     def __post_init__(self):
         if self.population_total < self.record.n_tested:
             raise ValueError("population smaller than the number tested")
+        if self.population_total > MAX_POPULATION:
+            raise ValueError(
+                f"population_total must be <= {MAX_POPULATION}, got {self.population_total}"
+            )
         if not 0.0 < self.vulnerable_fraction < 1.0:
             raise ValueError("vulnerable_fraction must lie in (0, 1)")
 
@@ -72,22 +82,26 @@ def posterior(record: TestRecord, prior: Prior = Prior.JEFFREYS) -> tuple[float,
     return a0 + record.n_compromised, b0 + (record.n_tested - record.n_compromised)
 
 
-def beta_binomial_pmf(k: int, m: int, alpha: float, beta: float) -> float:
-    """P(K = k) for K ~ BetaBinomial(m, alpha, beta), via log-gamma."""
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be > 0")
+def _log_pmf(k, m: int, alpha: float, beta: float):
+    """log P(K = k) for K ~ BetaBinomial(m, alpha, beta); `k` may be an array."""
     if gammaln is None:
         _import_special()
-    log_pmf = (
+    return (
         gammaln(m + 1)
         - gammaln(k + 1)
         - gammaln(m - k + 1)
         + betaln(k + alpha, m - k + beta)
         - betaln(alpha, beta)
     )
-    return float(math.exp(log_pmf))
+
+
+def beta_binomial_pmf(k: int, m: int, alpha: float, beta: float) -> float:
+    """P(K = k) for K ~ BetaBinomial(m, alpha, beta), via log-gamma."""
+    if not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be > 0")
+    return float(math.exp(_log_pmf(k, m, alpha, beta)))
 
 
 def prob_fraction_vulnerable_exceeds(query: RiskQuery) -> float:
@@ -101,9 +115,10 @@ def prob_fraction_vulnerable_exceeds(query: RiskQuery) -> float:
     if m == 0:
         return 0.0
     threshold = math.floor(query.vulnerable_fraction * m)
-    return float(
-        sum(beta_binomial_pmf(k, m, alpha, beta) for k in range(threshold + 1, m + 1))
-    )
+    log_pmf = _log_pmf(np.arange(threshold + 1, m + 1), m, alpha, beta)
+    # math.exp and a left-to-right float sum, term by term: the same bits as
+    # summing beta_binomial_pmf over k, which np.exp/np.sum would not give
+    return float(sum(map(math.exp, log_pmf.tolist())))
 
 
 def prob_exceeds_infinite_population(query: RiskQuery) -> float:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from attenattack.attenuators import AttenuatorClass, Fate, new_attenuator
@@ -157,13 +160,14 @@ class TestFuse:
 class TestMonteCarlo:
     def test_single_trial_matches_campaign(self):
         cfg = CampaignConfig()
-        summary, results = monte_carlo(
+        results = []
+        summary = monte_carlo(
             cfg,
             AttenuatorClass.MEMS_VOA,
             setpoint_db=30.0,
             n_trials=1,
             seed=11,
-            collect_results=True,
+            on_result=results.append,
         )
         state = new_attenuator(
             AttenuatorClass.MEMS_VOA, None, 30.0, seed=trial_seeds(11, 1)[0]
@@ -204,6 +208,25 @@ class TestMonteCarlo:
             seed=5,
         )
         assert monte_carlo(**args) == monte_carlo(**args)
+
+    def test_results_streamed_in_seed_order_and_not_kept(self):
+        cfg = CampaignConfig()
+        refs, outcomes = [], []
+
+        def see(result):
+            refs.append(weakref.ref(result))
+            outcomes.append(result.outcome)
+
+        summary = monte_carlo(
+            cfg, AttenuatorClass.FIXED, n_trials=12, seed=4, on_result=see
+        )
+        assert len(refs) == 12
+        for trial_seed, outcome in zip(trial_seeds(4, 12), outcomes):
+            state = new_attenuator(AttenuatorClass.FIXED, None, None, seed=trial_seed)
+            assert run_campaign(cfg, state, LINK_20M, LASER).outcome is outcome
+        assert summary.success_rate == outcomes.count(CampaignOutcome.SUCCESS) / 12
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_n_trials_validated(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,55 @@ def test_non_finite_flag_exits_2(args):
     assert cp.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("risk", "--population", "100000000"),
+        ("risk", "--population", str(10**21)),
+        ("thresholds", "--points", "100000000"),
+    ],
+)
+def test_oversized_input_exits_2(args):
+    cp = run_cli(*args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("impact", "--delta-db", "-1"),
+        ("campaign", "--class", "fixed", "--trials", "3"),
+        ("thresholds", "--points", "3"),
+    ],
+)
+def test_unopenable_out_path_exits_2(tmp_path: Path, args):
+    cp = run_cli(*args, "--out", str(tmp_path / "missing" / "x.json"))
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.count("\n") == 1
+    assert "cannot open --out" in cp.stderr
+
+
+def test_failed_run_leaves_no_out_file(tmp_path: Path):
+    out = tmp_path / "x.csv"
+    cp = run_cli("thresholds", "--points", "1", "--out", str(out))
+    assert cp.returncode == 2
+    assert not out.exists()
+
+
+def test_per_trial_out_file_matches_stdout(tmp_path: Path):
+    args = ("campaign", "--class", "vdmc-voa", "--trials", "4", "--seed", "2", "--per-trial")
+    out = tmp_path / "trials.json"
+    to_file = run_cli(*args, "--out", str(out))
+    to_stdout = run_cli(*args)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == ""
+    assert out.read_bytes() == to_stdout.stdout.encode()
+    assert len(json.loads(to_stdout.stdout)["trials"]) == 4
+
+
 def test_only_risk_imports_scipy():
     code = """
 import contextlib, io, sys

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -175,6 +176,36 @@ class TestThresholdCurve:
             threshold_curve(FiberLink(length_km=1.0), LaserSource(), 5.0, 1.0, 10)
         with pytest.raises(ValueError):
             threshold_curve(FiberLink(length_km=1.0), LaserSource(), 0.1, 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "l_min,l_max", [(0.1, math.inf), (math.nan, 1.0), (0.1, math.nan), (-1.0, 1.0)]
+    )
+    def test_non_finite_or_negative_range_rejected(self, l_min, l_max):
+        with pytest.raises(ValueError):
+            threshold_curve(FiberLink(length_km=1.0), LaserSource(), l_min, l_max, 10)
+
+    def test_point_count_bounded(self):
+        with pytest.raises(ValueError, match="n_points"):
+            threshold_curve(FiberLink(length_km=1.0), LaserSource(), 0.1, 1.0, 10**6 + 1)
+
+    @pytest.mark.parametrize(
+        "template,laser",
+        [
+            (FiberLink(length_km=20.0), LaserSource()),
+            (FiberLink(length_km=1.0, alpha_per_km=0.0), LaserSource(linewidth_ghz=0.0)),
+            (
+                FiberLink(length_km=3.0, alpha_per_km=0.2, a_eff_um2=80.0,
+                          g_r_m_per_w=1e-13, g_b_m_per_w=4e-11, delta_nu_b_mhz=30.0),
+                LaserSource(linewidth_ghz=0.5),
+            ),
+        ],
+    )
+    def test_bit_equal_to_per_length_link(self, template, laser):
+        curve = threshold_curve(template, laser, 0.003, 40.0, 37)
+        for l_km, srs, sbs in zip(curve.lengths_km, curve.p_srs_w, curve.p_sbs_w):
+            link = replace(template, length_km=l_km)
+            assert srs == srs_threshold(link)
+            assert sbs == sbs_threshold(link, laser)
 
     def test_csv_format(self):
         curve = threshold_curve(FiberLink(length_km=1.0), LaserSource(), 0.1, 1.0, 3)

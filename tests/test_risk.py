@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
@@ -29,6 +31,14 @@ class TestRecordValidation:
     def test_population_smaller_than_tested_rejected(self):
         with pytest.raises(ValueError):
             RiskQuery(record=TestRecord(5, 4, 1), population_total=3)
+
+    @pytest.mark.parametrize("population", [10**6 + 1, 10**8, 10**21])
+    def test_population_above_bound_rejected(self, population):
+        with pytest.raises(ValueError, match="population_total"):
+            RiskQuery(record=TestRecord(5, 4, 1), population_total=population)
+
+    def test_population_at_bound_accepted(self):
+        RiskQuery(record=TestRecord(5, 4, 1), population_total=10**6)
 
 
 class TestPosterior:
@@ -75,6 +85,25 @@ class TestBetaBinomialPmf:
 
 
 class TestProbExceeds:
+    @pytest.mark.parametrize(
+        "record,population,fraction,prior",
+        [
+            (TestRecord(5, 4, 1), 7, 0.2, Prior.JEFFREYS),
+            (TestRecord(5, 4, 1), 50, 0.2, Prior.JEFFREYS),
+            (TestRecord(2, 2, 0), 50, 0.2, Prior.UNIFORM),
+            (TestRecord(0, 0, 0), 1, 0.5, Prior.JEFFREYS),
+            (TestRecord(13, 8, 4), 1000, 0.01, Prior.UNIFORM),
+            (TestRecord(25, 18, 0), 3000, 0.9, Prior.JEFFREYS),
+        ],
+    )
+    def test_tail_bit_equal_to_summed_pmf(self, record, population, fraction, prior):
+        q = RiskQuery(record, population, fraction, prior)
+        alpha, beta = posterior(record, prior)
+        m = population - record.n_tested
+        threshold = math.floor(fraction * m)
+        expected = sum(beta_binomial_pmf(k, m, alpha, beta) for k in range(threshold + 1, m + 1))
+        assert prob_fraction_vulnerable_exceeds(q) == expected
+
     def test_current_record(self):
         q = RiskQuery(record=TestRecord(5, 4, 1))
         assert prob_fraction_vulnerable_exceeds(q) == pytest.approx(0.995, abs=0.005)
