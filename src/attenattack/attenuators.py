@@ -305,12 +305,12 @@ def new_attenuator(
     if klass is AttenuatorClass.FIXED:
         base_mag = abs(profile.success_delta_db_mean)
         if fate is Fate.SUCCESS:
-            state.fixed_thermal_base_db = float(
-                np.clip(
+            state.fixed_thermal_base_db = min(
+                max(
                     rng.normal(base_mag, profile.success_delta_db_spread),
                     base_mag - 1.8 * profile.success_delta_db_spread,
-                    base_mag + 1.2 * profile.success_delta_db_spread,
-                )
+                ),
+                base_mag + 1.2 * profile.success_delta_db_spread,
             )
         else:
             # below-detection thermal response of non-susceptible samples
@@ -382,6 +382,11 @@ def _mems_band_offset(state: AttenuatorState, baseline_db: float) -> float:
     a0_db = state.mems_damaged_at_db
     if a0_db is None:
         return 0.0
+    return state.mems_depth_db * _mems_band_weight(a0_db, baseline_db)
+
+
+def _mems_band_weight(a0_db: float, baseline_db: float) -> float:
+    """Share of a drop written at attenuation a0_db that shows at baseline_db."""
     span = MEMS_A_MAX - MEMS_A_MIN
     band_lo = MEMS_A_MIN + (1.0 - MEMS_BAND_FRACTION) * span
     taper = MEMS_TAPER_FRACTION * span
@@ -392,7 +397,7 @@ def _mems_band_offset(state: AttenuatorState, baseline_db: float) -> float:
         return max((a - (band_lo - taper)) / taper, 0.0)
 
     w0 = max(weight(a0_db), 0.25)
-    return state.mems_depth_db * min(weight(baseline_db) / w0, 1.0)
+    return min(weight(baseline_db) / w0, 1.0)
 
 
 _NO_CHANGE = ExposureOutcome(OutcomeKind.NO_CHANGE)
@@ -429,12 +434,16 @@ def _expose_fixed(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureO
         new.blocked_db = new.setpoint_db + new.fixed_failure_increase_db
         return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, new.fixed_failure_increase_db)
     if p_dbm >= new.sampled_attack_threshold_dbm:
-        p_ref_w = 10.0 ** (new.profile.attack_threshold_dbm / 10.0) / 1000.0
-        scale = min(power_w / p_ref_w, FIXED_THERMAL_POWER_CAP)
-        drop = new.fixed_thermal_base_db * scale
+        drop = new.fixed_thermal_base_db * _fixed_heat_scale(new.profile, power_w)
         new.thermal_offset_db = -drop
         return ExposureOutcome(OutcomeKind.TEMPORARY_DROP, -drop)
     return _NO_CHANGE
+
+
+def _fixed_heat_scale(profile: DamageProfile, power_w: float) -> float:
+    """Thermal-drop multiplier at power_w, relative to the class-mean threshold."""
+    p_ref_w = 10.0 ** (profile.attack_threshold_dbm / 10.0) / 1000.0
+    return min(power_w / p_ref_w, FIXED_THERMAL_POWER_CAP)
 
 
 def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
@@ -547,12 +556,105 @@ def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:
         raise ValueError(f"elapsed_s must be >= 0, got {elapsed_s}")
     new = state.copy()
     new.clock_s += elapsed_s
-    tau = state.profile.recovery_tau_s
-    if elapsed_s > 0 and tau > 0:
-        new.thermal_offset_db = state.thermal_offset_db * math.exp(-elapsed_s / tau)
-    elif elapsed_s > 0:
-        new.thermal_offset_db = 0.0
+    new.thermal_offset_db = _cooled_offset(
+        state.thermal_offset_db, state.profile.recovery_tau_s, elapsed_s
+    )
     return new
+
+
+def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
+    """Thermal offset, a float or an array, after cooling for elapsed_s."""
+    if elapsed_s > 0 and tau_s > 0:
+        return offset_db * math.exp(-elapsed_s / tau_s)
+    if elapsed_s > 0:
+        return 0.0
+    return offset_db
+
+
+# --- batched readouts -------------------------------------------------------
+# For the classes whose campaign follows from the construction draws alone,
+# one function per class reads a batch of fresh specimens (one class, profile
+# and setpoint) at every exposed rung of a power ladder at once. It returns
+# (baseline, lowest, after, destroyed), each broadcastable over (specimens,
+# rungs): the readout before any exposure, then at each rung min(immediate,
+# after), after, and whether the specimen is destroyed. They are
+# run_campaign's `attenuation` values bit for bit, up to the rung where the
+# campaign stops; later rungs are not meaningful. The ladder's delivered
+# power never falls, so a specimen over a threshold at one rung is over it
+# at every later one, and no state need carry from rung to rung.
+
+
+def _maximum(a, b):
+    """max(a, b) elementwise with Python's rules: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _minimum(a, b):
+    """min(a, b) elementwise with Python's rules: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _column(specimens: list[AttenuatorState], name: str) -> np.ndarray:
+    """One field of every specimen, as an (n, 1) column."""
+    return np.array([getattr(s, name) for s in specimens])[:, None]
+
+
+def _manual_readout(specimens, p_w, p_dbm, cooldown_s):
+    level = _manual_attenuation(specimens[0], specimens[0].control)
+    return level, level, level, False
+
+
+def _fixed_readout(specimens, p_w, p_dbm, cooldown_s):
+    first = specimens[0]
+    profile, setpoint = first.profile, first.setpoint_db
+    fate = _column(specimens, "fate")
+    destroyed = (fate == Fate.FAILURE) & (
+        p_dbm >= _column(specimens, "sampled_failure_threshold_dbm")
+    )
+    heated = ~destroyed & (p_dbm >= _column(specimens, "sampled_attack_threshold_dbm"))
+    offset = 0.0
+    if heated.any():
+        scale = np.array([_fixed_heat_scale(profile, w) for w in p_w.tolist()])
+        drop = _column(specimens, "fixed_thermal_base_db") * scale
+        bad = heated & (-drop >= 0)
+        if bad.any():  # run_campaign fails building this outcome; so do we
+            ExposureOutcome(OutcomeKind.TEMPORARY_DROP, float(-drop[bad][0]))
+        offset = np.where(heated, -drop, 0.0)
+    cooled = _cooled_offset(offset, profile.recovery_tau_s, cooldown_s)
+    floor = profile.insertion_loss_floor_db
+    blocked = setpoint + _column(specimens, "fixed_failure_increase_db")
+    immediate = np.where(destroyed, blocked, _maximum(setpoint + offset, floor))
+    after = np.where(destroyed, blocked, _maximum(setpoint + cooled, floor))
+    baseline = _fixed_attenuation(first, first.control)
+    return baseline, _minimum(immediate, after), after, destroyed
+
+
+def _mems_readout(specimens, p_w, p_dbm, cooldown_s):
+    first = specimens[0]
+    profile = first.profile
+    fate = _column(specimens, "fate")
+    destroyed = (fate == Fate.FAILURE) & (
+        p_dbm >= _column(specimens, "sampled_failure_threshold_dbm")
+    )
+    damaged = (fate == Fate.SUCCESS) & (
+        p_dbm >= _column(specimens, "sampled_attack_threshold_dbm")
+    )
+    # damage is written at the setpoint's own level, the only one read here
+    level = mems_voltage_to_attenuation(first.control)
+    damaged_db = _maximum(
+        level + _column(specimens, "mems_depth_db") * _mems_band_weight(level, level),
+        profile.insertion_loss_floor_db,
+    )
+    baseline = _mems_attenuation(first, first.control)
+    after = np.where(destroyed, MEMS_BLOCKED_DB, np.where(damaged, damaged_db, baseline))
+    return baseline, after, after, destroyed
+
+
+BATCH_READOUT = {
+    AttenuatorClass.MANUAL_VOA: _manual_readout,
+    AttenuatorClass.FIXED: _fixed_readout,
+    AttenuatorClass.MEMS_VOA: _mems_readout,
+}
 
 
 # --- profile config loading -------------------------------------------------

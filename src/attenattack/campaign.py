@@ -26,6 +26,7 @@ from .fiber import (
     max_injectable_power,
 )
 from .attenuators import (
+    BATCH_READOUT,
     AttenuatorClass,
     AttenuatorState,
     DamageProfile,
@@ -122,6 +123,43 @@ def check_fuse(config: CampaignConfig, power_w_at_connector: float) -> bool:
     return config.connectorized_output and power_w_at_connector >= config.fuse_threshold_w
 
 
+def _power_ladder(config: CampaignConfig, link: FiberLink, laser: LaserSource):
+    """Yield the campaign's rungs as (p_set_dbm, p_delivered_w, p_delivered_dbm, fuse).
+
+    Power climbs from the start level in fixed steps up to the lower of
+    max_power_dbm and the link's injectable limit. The last rung is the
+    first that reaches that cap or trips the fuse. A rung that delivers 0 W
+    reads -inf dBm.
+    """
+    injectable_w, _ = max_injectable_power(link, laser)
+    if dbm_to_watts(config.start_power_dbm) > injectable_w:
+        raise ValueError(
+            f"start power {config.start_power_dbm} dBm exceeds the injectable "
+            f"limit of {injectable_w:.3g} W"
+        )
+    cap_dbm = min(config.max_power_dbm, watts_to_dbm(injectable_w))
+    p_dbm = config.start_power_dbm
+    while True:
+        p_set = min(p_dbm, cap_dbm)
+        p_delivered = delivered_power(link, dbm_to_watts(p_set))
+        fuse = check_fuse(config, p_delivered)
+        yield p_set, p_delivered, watts_to_dbm(p_delivered) if p_delivered > 0 else -math.inf, fuse
+        if fuse or p_set >= cap_dbm:
+            return
+        p_dbm += config.step_dbm
+
+
+def _stop_rule(config: CampaignConfig, delta_eval, delta_post, destroyed):
+    """(success, critical failure) of an exposed rung, floats or arrays.
+
+    Success is checked first: a rung that meets both ends in success.
+    """
+    return (
+        delta_eval <= config.success_delta_db,
+        destroyed | (delta_post >= config.failure_delta_db),
+    )
+
+
 def run_campaign(
     config: CampaignConfig,
     state: AttenuatorState,
@@ -131,27 +169,15 @@ def run_campaign(
     """Drive one attenuator through the stepwise damage procedure."""
     if state.destroyed:
         raise ValueError("campaign requires an intact attenuator")
-    injectable_w, _ = max_injectable_power(link, laser)
-    if dbm_to_watts(config.start_power_dbm) > injectable_w:
-        raise ValueError(
-            f"start power {config.start_power_dbm} dBm exceeds the injectable "
-            f"limit of {injectable_w:.3g} W"
-        )
-    cap_dbm = min(config.max_power_dbm, watts_to_dbm(injectable_w))
 
     baseline_db = attenuation(state)
     steps: list[CampaignStep] = []
     outcome = CampaignOutcome.INCONCLUSIVE
-    final_delta = 0.0
     attack_power: float | None = None
 
-    p_dbm = config.start_power_dbm
     before = baseline_db  # each step starts from the previous step's `after`
-    while True:
-        p_set = min(p_dbm, cap_dbm)
-        p_delivered = delivered_power(link, dbm_to_watts(p_set))
-
-        if check_fuse(config, p_delivered):
+    for p_set, p_delivered, _, fuse in _power_ladder(config, link, laser):
+        if fuse:
             steps.append(
                 CampaignStep(
                     power_dbm_set=p_set,
@@ -186,20 +212,16 @@ def run_campaign(
         )
 
         delta_eval = min(immediate, after) - baseline_db
-        delta_post = after - baseline_db
-        if delta_eval <= config.success_delta_db:
+        final_delta = after - baseline_db
+        success, failure = _stop_rule(config, delta_eval, final_delta, state.destroyed)
+        if success:
             outcome = CampaignOutcome.SUCCESS
             final_delta = delta_eval
             attack_power = p_set
             break
-        if state.destroyed or delta_post >= config.failure_delta_db:
+        if failure:
             outcome = CampaignOutcome.CRITICAL_FAILURE
-            final_delta = delta_post
             break
-        if p_set >= cap_dbm:
-            final_delta = delta_post
-            break
-        p_dbm += config.step_dbm
         before = after
 
     return CampaignResult(
@@ -232,6 +254,75 @@ def trial_seeds(master_seed: int, n_trials: int) -> list[int]:
     return [int(s) for s in ss.generate_state(n_trials, dtype=np.uint64)]
 
 
+# Trials the batched engine reads at once. Its arrays are trials x rungs, so
+# a fixed batch keeps its memory independent of n_trials.
+_BATCH_TRIALS = 256
+
+# A batched trial's outcome code indexes this.
+_OUTCOMES = tuple(CampaignOutcome)
+_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
+
+
+def _batched_trials(
+    config: CampaignConfig,
+    klass: AttenuatorClass,
+    profile: DamageProfile | None,
+    setpoint_db: float | None,
+    seeds: list[int],
+    link: FiberLink,
+    laser: LaserSource,
+):
+    """Yield (outcome codes, final_delta_db, attack_power_dbm) per batch of trials.
+
+    Each trial's values are those run_campaign gives its specimen; the
+    attack power is only meaningful where the outcome is a success. The
+    class must have a BATCH_READOUT.
+    """
+    readout = BATCH_READOUT[klass]
+    rungs = None
+    for lo in range(0, len(seeds), _BATCH_TRIALS):
+        specimens = [
+            new_attenuator(klass, profile, setpoint_db, seed=s)
+            for s in seeds[lo:lo + _BATCH_TRIALS]
+        ]
+        if rungs is None:  # after a draw, so a bad setpoint is reported first
+            rungs = list(_power_ladder(config, link, laser))
+            p_set = np.array([r[0] for r in rungs])
+            fused = rungs[-1][3]
+            exposed = rungs[:-1] if fused else rungs
+            p_w = np.array([r[1] for r in exposed])
+            p_dbm = np.array([r[2] for r in exposed])
+        n, n_exposed = len(specimens), len(exposed)
+        baseline, lowest, after, destroyed = readout(specimens, p_w, p_dbm, config.cooldown_s)
+
+        # one column per rung; a fuse rung is never exposed and can only end
+        # the campaign, with the readout of the rung before it
+        delta_eval = np.empty((n, len(rungs)))
+        delta_post = np.empty((n, len(rungs)))
+        success = np.zeros((n, len(rungs)), dtype=bool)
+        failure = np.zeros((n, len(rungs)), dtype=bool)
+        exposed_cols = slice(0, n_exposed)
+        delta_eval[:, exposed_cols] = lowest - baseline
+        delta_post[:, exposed_cols] = after - baseline
+        success[:, exposed_cols], failure[:, exposed_cols] = _stop_rule(
+            config, delta_eval[:, exposed_cols], delta_post[:, exposed_cols], destroyed
+        )
+        if fused:
+            delta_post[:, -1] = delta_post[:, -2] if n_exposed else baseline - baseline
+
+        stop = success | failure
+        stop[:, -1] = True  # the last rung ends every campaign still running
+        k = stop.argmax(axis=1)
+        rows = np.arange(n)
+        won = success[rows, k]
+        codes = np.select(
+            [won, failure[rows, k]],
+            [_CODE[CampaignOutcome.SUCCESS], _CODE[CampaignOutcome.CRITICAL_FAILURE]],
+            _CODE[CampaignOutcome.FIBER_FUSE_DOS if fused else CampaignOutcome.INCONCLUSIVE],
+        )
+        yield codes, np.where(won, delta_eval[rows, k], delta_post[rows, k]), p_set[k]
+
+
 def monte_carlo(
     config: CampaignConfig,
     klass: AttenuatorClass,
@@ -247,7 +338,8 @@ def monte_carlo(
 
     `on_result`, if given, sees each trial's result as soon as it finishes;
     no result outlives its trial here, so memory does not grow with
-    `n_trials`.
+    `n_trials`. Without it, the classes with a BATCH_READOUT take the
+    batched engine, which gives the same summary without building results.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -259,16 +351,29 @@ def monte_carlo(
     counts = {o: 0 for o in CampaignOutcome}
     success_deltas: list[float] = []
     attack_powers: list[float] = []
+    seeds = trial_seeds(seed, n_trials)
 
-    for trial_seed in trial_seeds(seed, n_trials):
-        state = new_attenuator(klass, profile, setpoint_db, seed=trial_seed)
-        result = run_campaign(config, state, link, laser)
-        counts[result.outcome] += 1
-        if result.outcome is CampaignOutcome.SUCCESS:
-            success_deltas.append(result.final_delta_db)
-            attack_powers.append(result.attack_power_dbm)
-        if on_result is not None:
-            on_result(result)
+    if on_result is None and klass in BATCH_READOUT:
+        batches = _batched_trials(config, klass, profile, setpoint_db, seeds, link, laser)
+        for codes, final_delta, attack_power in batches:
+            tally = np.bincount(codes, minlength=len(_OUTCOMES)).tolist()
+            for outcome, count in zip(_OUTCOMES, tally):
+                counts[outcome] += count
+            won = codes == _CODE[CampaignOutcome.SUCCESS]
+            # in trial order, so the sums below add the same floats in the
+            # same order as the per-trial loop
+            success_deltas.extend(final_delta[won].tolist())
+            attack_powers.extend(attack_power[won].tolist())
+    else:
+        for trial_seed in seeds:
+            state = new_attenuator(klass, profile, setpoint_db, seed=trial_seed)
+            result = run_campaign(config, state, link, laser)
+            counts[result.outcome] += 1
+            if result.outcome is CampaignOutcome.SUCCESS:
+                success_deltas.append(result.final_delta_db)
+                attack_powers.append(result.attack_power_dbm)
+            if on_result is not None:
+                on_result(result)
 
     return MonteCarloSummary(
         n_trials=n_trials,

@@ -89,12 +89,16 @@ def _effective_length_m(length_km: float, alpha_per_km: float) -> float:
 
 def srs_threshold(link: FiberLink) -> float:
     """Backward-SRS input power threshold, watts: 20 A_eff / (g_R L_eff)."""
-    return _srs_threshold(link, effective_length(link))
+    return _srs_thresholds(link, [effective_length(link)])[0]
 
 
-def _srs_threshold(link: FiberLink, l_eff_m: float) -> float:
+def _srs_thresholds(link: FiberLink, l_effs_m: list[float]) -> list[float]:
     a_eff_m2 = link.a_eff_um2 * 1e-12
-    return 20.0 * a_eff_m2 / (link.g_r_m_per_w * l_eff_m)
+    try:
+        p_w = [20.0 * a_eff_m2 / (link.g_r_m_per_w * l_eff) for l_eff in l_effs_m]
+    except ZeroDivisionError:
+        p_w = [math.inf]
+    return _finite("SRS", p_w, l_effs_m)
 
 
 def sbs_threshold(link: FiberLink, laser: LaserSource) -> float:
@@ -103,14 +107,31 @@ def sbs_threshold(link: FiberLink, laser: LaserSource) -> float:
     21 A_eff / (g_B L_eff), enhanced by (1 + dnu_pump/dnu_Brillouin) when the
     pump linewidth exceeds the Brillouin-gain bandwidth.
     """
-    return _sbs_threshold(link, laser, effective_length(link))
+    return _sbs_thresholds(link, laser, [effective_length(link)])[0]
 
 
-def _sbs_threshold(link: FiberLink, laser: LaserSource, l_eff_m: float) -> float:
+def _sbs_thresholds(link: FiberLink, laser: LaserSource, l_effs_m: list[float]) -> list[float]:
     a_eff_m2 = link.a_eff_um2 * 1e-12
-    narrowband = 21.0 * a_eff_m2 / (link.g_b_m_per_w * l_eff_m)
     broadening = 1.0 + (laser.linewidth_ghz * 1e3) / link.delta_nu_b_mhz
-    return narrowband * broadening
+    try:
+        p_w = [21.0 * a_eff_m2 / (link.g_b_m_per_w * l_eff) * broadening for l_eff in l_effs_m]
+    except ZeroDivisionError:
+        p_w = [math.inf]
+    return _finite("SBS", p_w, l_effs_m)
+
+
+def _finite(kind: str, p_w: list[float], l_effs_m: list[float]) -> list[float]:
+    """p_w, or ValueError unless every threshold in it is finite.
+
+    A link so short for its loss that L_eff underflows puts no finite bound
+    on the launch power.
+    """
+    if not max(p_w) < math.inf:
+        raise ValueError(
+            f"{kind} threshold is not finite at an effective length of "
+            f"{min(l_effs_m):.3g} m"
+        )
+    return p_w
 
 
 def max_injectable_power(link: FiberLink, laser: LaserSource) -> tuple[float, str]:
@@ -176,6 +197,6 @@ def threshold_curve(
     l_effs = [_effective_length_m(l_km, alpha) for l_km in lengths]
     return ThresholdCurve(
         lengths_km=lengths,
-        p_srs_w=[_srs_threshold(link_template, l_eff) for l_eff in l_effs],
-        p_sbs_w=[_sbs_threshold(link_template, laser, l_eff) for l_eff in l_effs],
+        p_srs_w=_srs_thresholds(link_template, l_effs),
+        p_sbs_w=_sbs_thresholds(link_template, laser, l_effs),
     )

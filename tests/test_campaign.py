@@ -1,9 +1,23 @@
 import gc
+import re
+import tracemalloc
 import weakref
+from dataclasses import replace
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from attenattack.attenuators import AttenuatorClass, Fate, new_attenuator
+from attenattack import campaign
+from attenattack.attenuators import (
+    DEFAULT_PROFILES,
+    DEFAULT_SETPOINTS,
+    SETPOINT_RANGES,
+    AttenuatorClass,
+    Fate,
+    new_attenuator,
+)
 from attenattack.campaign import (
     CampaignConfig,
     CampaignOutcome,
@@ -12,7 +26,13 @@ from attenattack.campaign import (
     run_campaign,
     trial_seeds,
 )
-from attenattack.fiber import FiberLink, LaserSource
+from attenattack.fiber import (
+    FiberLink,
+    LaserSource,
+    dbm_to_watts,
+    max_injectable_power,
+    watts_to_dbm,
+)
 
 
 LINK_20M = FiberLink(length_km=0.02)
@@ -231,3 +251,159 @@ class TestMonteCarlo:
     def test_n_trials_validated(self):
         with pytest.raises(ValueError):
             monte_carlo(CampaignConfig(), AttenuatorClass.FIXED, n_trials=0)
+
+
+BATCHED_CLASSES = [AttenuatorClass.FIXED, AttenuatorClass.MEMS_VOA, AttenuatorClass.MANUAL_VOA]
+
+
+def usually(usual, edges, lo, hi):
+    """`usual` half the time, else one of `edges` or any float in [lo, hi]."""
+    return st.one_of(st.just(usual), st.just(usual), st.sampled_from(edges), st.floats(lo, hi))
+
+
+@st.composite
+def batched_inputs(draw):
+    """(class, profile, setpoint, config, link): a standard campaign, with
+    each input now and then at an edge."""
+    klass = draw(st.sampled_from(BATCHED_CLASSES))
+    lo, hi = SETPOINT_RANGES[klass]
+    edges = [lo, hi]
+    if klass is AttenuatorClass.MEMS_VOA:
+        # the taper below the damage band, where drops are partial
+        edges += [20.0, 22.5, 24.0]
+    setpoint = draw(usually(DEFAULT_SETPOINTS[klass], edges, lo, hi))
+
+    default = DEFAULT_PROFILES[klass]
+    success_p, failure_p = draw(
+        st.sampled_from([
+            (default.success_probability, default.failure_probability),
+            (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5),
+        ])
+    )
+    overrides = {
+        "success_probability": success_p,
+        "failure_probability": failure_p,
+        "recovery_tau_s": draw(usually(150.0, [0.0], 0.0, 500.0)),
+        "insertion_loss_floor_db": draw(usually(0.0, [25.0, 40.0], 0.0, 40.0)),
+    }
+    if klass is AttenuatorClass.MANUAL_VOA:
+        attack = draw(st.floats(28.0, 38.0))
+        overrides["attack_threshold_dbm"] = attack
+        overrides["failure_threshold_dbm"] = attack + draw(st.floats(0.0, 3.0))
+    elif klass is AttenuatorClass.FIXED:
+        # a small mean drop over a wide spread can draw a drop <= 0, which
+        # the scalar engine rejects; the batched one must reject it too
+        overrides["success_delta_db_mean"] = draw(usually(-1.37, [-0.1], -3.0, -0.05))
+        overrides["success_delta_db_spread"] = draw(usually(0.15, [0.0, 0.5], 0.0, 0.5))
+    else:
+        overrides["success_delta_db_mean"] = draw(usually(-5.34, [-0.5], -10.0, -0.5))
+        overrides["success_delta_db_spread"] = draw(usually(2.5, [0.0], 0.0, 3.0))
+    profile = replace(default, **overrides)
+
+    # 20 km and longer caps the ladder at the SRS/SBS limit; at 1e5 km the
+    # delivered power underflows to 0 W
+    link = FiberLink(length_km=draw(usually(0.02, [1.0, 20.0, 40.0, 1e5], 0.001, 60.0)))
+    max_dbm = draw(usually(39.5, [36.0, 30.0], 26.0, 39.5))
+    top = min(max_dbm, watts_to_dbm(max_injectable_power(link, LASER)[0]))
+    start = draw(
+        st.one_of(
+            st.just(25.0),
+            st.just(25.0),
+            st.just(top),  # a one-rung ladder
+            st.sampled_from([top - 0.25, top - 1.0]),
+            st.floats(top - 14.0, top),
+            # above the injectable limit: both engines must reject it
+            st.just(min(max_dbm, top + 0.3)),
+        )
+    )
+    config = CampaignConfig(
+        start_power_dbm=start,
+        step_dbm=draw(usually(0.5, [1.0], 0.5, 1.0)),
+        max_power_dbm=max_dbm,
+        cooldown_s=draw(usually(10.0, [0.0], 0.0, 600.0)),
+        connectorized_output=draw(st.booleans()),
+        # trips on the first rung, on a later one, or never
+        fuse_threshold_w=draw(usually(4.5, [dbm_to_watts(start - 0.1)], 0.05, 10.0)),
+    )
+    return klass, profile, setpoint, config, link
+
+
+# a fixed specimen drawing a drop <= 0, which both engines reject
+@example(
+    inputs=(
+        AttenuatorClass.FIXED,
+        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], success_probability=1.0,
+                failure_probability=0.0, success_delta_db_mean=-0.1,
+                success_delta_db_spread=0.5),
+        25.0, CampaignConfig(), LINK_20M,
+    ),
+    seed=0, n_trials=20, batch=3,
+)
+# the fuse trips on the first rung
+@example(
+    inputs=(
+        AttenuatorClass.MEMS_VOA, DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], 30.0,
+        CampaignConfig(connectorized_output=True, fuse_threshold_w=0.1), LINK_20M,
+    ),
+    seed=1, n_trials=5, batch=2,
+)
+# every rung delivers 0 W
+@example(
+    inputs=(
+        AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
+        CampaignConfig(), FiberLink(length_km=1e5),
+    ),
+    seed=2, n_trials=5, batch=2,
+)
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=batched_inputs(),
+    seed=st.integers(0, 2**32),
+    n_trials=st.integers(1, 40),
+    batch=st.integers(1, 9),
+)
+def test_batched_engine_matches_run_campaign(inputs, seed, n_trials, batch):
+    klass, profile, setpoint, config, link = inputs
+    seeds = trial_seeds(seed, n_trials)
+    with patch.object(campaign, "_BATCH_TRIALS", batch):
+        try:
+            expected = [
+                run_campaign(config, new_attenuator(klass, profile, setpoint, seed=s), link, LASER)
+                for s in seeds
+            ]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                list(campaign._batched_trials(config, klass, profile, setpoint, seeds, link, LASER))
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER)
+            return
+        batches = list(
+            campaign._batched_trials(config, klass, profile, setpoint, seeds, link, LASER)
+        )
+        batched = monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER)
+    codes, deltas, powers = (np.concatenate(column).tolist() for column in zip(*batches))
+    assert len(codes) == n_trials
+    for result, code, delta, power in zip(expected, codes, deltas, powers):
+        assert campaign._OUTCOMES[code] is result.outcome
+        assert delta.hex() == result.final_delta_db.hex()
+        if result.outcome is CampaignOutcome.SUCCESS:
+            assert power.hex() == result.attack_power_dbm.hex()
+    scalar = monte_carlo(
+        config, klass, profile, setpoint, n_trials, seed, link, LASER, on_result=lambda r: None
+    )
+    assert batched == scalar
+
+
+def test_batched_memory_does_not_grow_with_trials():
+    def peak_bytes(n_trials):
+        tracemalloc.start()
+        try:
+            monte_carlo(CampaignConfig(), AttenuatorClass.FIXED, n_trials=n_trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Only the trial seeds and the successes' two float lists grow, by
+    # ~0.5 MiB over these 18000 trials; arrays over all trials and rungs at
+    # once would add ~35 MiB.
+    assert peak_bytes(20000) - peak_bytes(2000) < 2 * 2**20

@@ -186,6 +186,22 @@ def test_oversized_input_exits_2(args):
 @pytest.mark.parametrize(
     "args",
     [
+        ("thresholds", "--l-min-km", "5e-324"),
+        ("thresholds", "--l-min-km", "1e-310", "--alpha-per-km", "1e300"),
+        ("campaign", "--class", "fixed", "--length-km", "5e-324"),
+    ],
+)
+def test_link_without_finite_threshold_exits_2(args):
+    cp = run_cli(*args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert "Traceback" not in cp.stderr
+    assert "threshold is not finite" in cp.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("impact", "--delta-db", "-1"),
         ("campaign", "--class", "fixed", "--trials", "3"),
         ("thresholds", "--points", "3"),

@@ -95,6 +95,22 @@ class TestSbsThreshold:
         assert broad == pytest.approx(2.1005 * 626, rel=0.01)
 
 
+@pytest.mark.parametrize(
+    "link",
+    [
+        FiberLink(length_km=5e-324),
+        FiberLink(length_km=1e-310, alpha_per_km=1e300),
+    ],
+)
+def test_threshold_without_finite_value_rejected(link):
+    with pytest.raises(ValueError, match="SRS threshold is not finite"):
+        srs_threshold(link)
+    with pytest.raises(ValueError, match="SBS threshold is not finite"):
+        sbs_threshold(link, LaserSource())
+    with pytest.raises(ValueError):
+        max_injectable_power(link, LaserSource())
+
+
 class TestMaxInjectablePower:
     def test_laser_limited_20m(self):
         power, constraint = max_injectable_power(
@@ -183,6 +199,16 @@ class TestThresholdCurve:
     def test_non_finite_or_negative_range_rejected(self, l_min, l_max):
         with pytest.raises(ValueError):
             threshold_curve(FiberLink(length_km=1.0), LaserSource(), l_min, l_max, 10)
+
+    @pytest.mark.parametrize(
+        "l_min,alpha",
+        [(5e-324, fiber.DEFAULT_ALPHA_PER_KM), (1e-310, 1e300)],
+    )
+    def test_no_finite_threshold_at_the_short_end_rejected(self, l_min, alpha):
+        # L_eff underflows to 0 m, or to so few m that the thresholds overflow
+        template = FiberLink(length_km=1.0, alpha_per_km=alpha)
+        with pytest.raises(ValueError, match="not finite"):
+            threshold_curve(template, LaserSource(), l_min, 20.0, 5)
 
     def test_point_count_bounded(self):
         with pytest.raises(ValueError, match="n_points"):
