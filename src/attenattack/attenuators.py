@@ -71,6 +71,9 @@ class DamageProfile:
     insertion_loss_floor_db: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{name} must not be NaN")
         if self.attack_threshold_dbm > self.failure_threshold_dbm:
             raise ValueError("attack threshold must not exceed failure threshold")
         if self.success_delta_db_spread < 0:
@@ -166,6 +169,8 @@ VDMC_TIER_OFFSETS_DB = (-1.5, -1.1, 0.0)
 VDMC_TIER_TIMES_S = (200.0, 40.0, 10.0)
 VDMC_DIP_HALF_WIDTH_DB = 0.5
 VDMC_DEEPEN_FACTOR = 0.3
+# A damaged point deepens only at a power this much above any it saw before.
+VDMC_DEEPEN_MARGIN_W = 0.4
 
 # Fixed-attenuator thermal drop scales with power relative to the class
 # attack threshold, saturating at 1.6x (strong heating regime).
@@ -276,6 +281,16 @@ def new_attenuator(
             f"setpoint {setpoint_db} dB out of range [{lo}, {hi}] for {klass.value}"
         )
 
+    if (
+        klass is AttenuatorClass.FIXED
+        and profile.success_probability > 0
+        and _fixed_drop_range(profile)[0] <= 0
+    ):
+        raise ValueError(
+            "fixed profile can draw a drop <= 0: need |success_delta_db_mean| > "
+            "1.8 * success_delta_db_spread"
+        )
+
     rng = np.random.default_rng(seed)
     if math.isfinite(profile.attack_threshold_dbm):
         thr_a = profile.attack_threshold_dbm + rng.uniform(
@@ -303,14 +318,14 @@ def new_attenuator(
     )
 
     if klass is AttenuatorClass.FIXED:
-        base_mag = abs(profile.success_delta_db_mean)
         if fate is Fate.SUCCESS:
+            lo_db, hi_db = _fixed_drop_range(profile)
             state.fixed_thermal_base_db = min(
                 max(
-                    rng.normal(base_mag, profile.success_delta_db_spread),
-                    base_mag - 1.8 * profile.success_delta_db_spread,
+                    rng.normal(abs(profile.success_delta_db_mean), profile.success_delta_db_spread),
+                    lo_db,
                 ),
-                base_mag + 1.2 * profile.success_delta_db_spread,
+                hi_db,
             )
         else:
             # below-detection thermal response of non-susceptible samples
@@ -324,14 +339,25 @@ def new_attenuator(
     return state
 
 
+def _fixed_drop_range(profile: DamageProfile) -> tuple[float, float]:
+    """Bounds, dB, a susceptible fixed specimen's thermal drop is clipped to."""
+    base_mag = abs(profile.success_delta_db_mean)
+    spread = profile.success_delta_db_spread
+    return base_mag - 1.8 * spread, base_mag + 1.2 * spread
+
+
 def _vdmc_dip_db(point: VdmcPoint, setting_db: float) -> float:
     """Triangular (possibly skewed) dip contribution at a query setting."""
     if not point.damaged:
         return 0.0
+    return point.depth_db * _vdmc_dip_weight(point, setting_db)
+
+
+def _vdmc_dip_weight(point: VdmcPoint, setting_db: float) -> float:
+    """Share of a damaged point's depth that shows at a query setting."""
     x = setting_db - point.center_db
     hw = point.hw_hi_db if x >= 0 else point.hw_lo_db
-    w = max(1.0 - abs(x) / hw, 0.0)
-    return point.depth_db * w
+    return max(1.0 - abs(x) / hw, 0.0)
 
 
 def attenuation(state: AttenuatorState, control: float | None = None) -> float:
@@ -463,11 +489,16 @@ def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOu
 
 
 def _expose_vdmc(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
-    key = int(round(new.control * 1000.0))
+    key = _vdmc_key(new.control)
     point, outcome = _exposed_vdmc_point(new, key, power_w, p_dbm, duration_s)
     # a new dict, so the input state's points stay as they were
     new.vdmc_points = {**new.vdmc_points, key: point}
     return outcome
+
+
+def _vdmc_key(control_db: float) -> int:
+    """A disk point's key: its setting in milli-dB."""
+    return int(round(control_db * 1000.0))
 
 
 def _exposed_vdmc_point(
@@ -489,12 +520,12 @@ def _exposed_vdmc_point(
     if old.damaged:
         # repeated exposure at clearly higher power deepens the dip with
         # diminishing returns; damage never self-heals
-        if power_w <= old.max_power_w + 0.4:
+        if not _vdmc_deepens(power_w, old.max_power_w):
             return point, _NO_CHANGE
         count = old.deepen_count + 1
         deeper = point._replace(
             deepen_count=count,
-            depth_db=old.depth_db + old.depth_db * VDMC_DEEPEN_FACTOR ** count,
+            depth_db=_vdmc_deepened(old.depth_db, VDMC_DEEPEN_FACTOR ** count),
         )
         delta = _measured_vdmc_delta(new, deeper) - _measured_vdmc_delta(new, point)
         if delta < 0:
@@ -503,29 +534,49 @@ def _exposed_vdmc_point(
 
     if old.resistant:
         return point, _NO_CHANGE
-    rng = np.random.default_rng([new.seed, abs(key), 0x5D])
-    profile = new.profile
+    point = _drawn_vdmc_point(new, key, point, optimal=p_dbm >= thr)
+    if point.resistant:
+        return point, _NO_CHANGE
+    delta = _measured_vdmc_delta(new, point)
+    if delta >= 0:
+        return point, _NO_CHANGE
+    return point, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
+
+
+def _vdmc_deepens(power_w, max_power_w):
+    """Whether a damaged point deepens at power_w, floats or arrays."""
+    return power_w > max_power_w + VDMC_DEEPEN_MARGIN_W
+
+
+def _vdmc_deepened(depth_db, factor):
+    """A dip's depth after a deepening; factor is VDMC_DEEPEN_FACTOR ** count."""
+    return depth_db + depth_db * factor
+
+
+def _drawn_vdmc_point(
+    state: AttenuatorState, key: int, point: VdmcPoint, optimal: bool
+) -> VdmcPoint:
+    """`point` after its first exposure that clears the law: resistant, or
+    damaged with a dip. The draw is seeded per point, so it is made once."""
+    rng = np.random.default_rng([state.seed, abs(key), 0x5D])
+    profile = state.profile
     if not rng.random() < profile.success_probability:
-        return point._replace(resistant=True), _NO_CHANGE
+        return point._replace(resistant=True)
     depth = _truncated_normal_below(
         rng, profile.success_delta_db_mean, profile.success_delta_db_spread, -1.0
     )
-    if p_dbm >= thr:  # optimal exposure: a symmetric dip at the setting
-        center, hw_lo, hw_hi = new.control, VDMC_DIP_HALF_WIDTH_DB, VDMC_DIP_HALF_WIDTH_DB
+    if optimal:  # optimal exposure: a symmetric dip at the setting
+        center, hw_lo, hw_hi = state.control, VDMC_DIP_HALF_WIDTH_DB, VDMC_DIP_HALF_WIDTH_DB
     else:
         # suboptimal (low power, long time): shallower skewed dip with
         # its minimum displaced from the irradiated setting
         depth *= 0.8
         shift = rng.uniform(0.1, 0.3) * (1 if rng.random() < 0.5 else -1)
-        center = new.control + shift
+        center = state.control + shift
         hw_lo, hw_hi = 0.3, 0.7
-    point = point._replace(
+    return point._replace(
         damaged=True, depth_db=depth, center_db=center, hw_lo_db=hw_lo, hw_hi_db=hw_hi
     )
-    delta = _measured_vdmc_delta(new, point)
-    if delta >= 0:
-        return point, _NO_CHANGE
-    return point, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
 
 
 def _measured_vdmc_delta(state: AttenuatorState, point: VdmcPoint) -> float:
@@ -572,16 +623,17 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
 
 
 # --- batched readouts -------------------------------------------------------
-# For the classes whose campaign follows from the construction draws alone,
-# one function per class reads a batch of fresh specimens (one class, profile
-# and setpoint) at every exposed rung of a power ladder at once. It returns
-# (baseline, lowest, after, destroyed), each broadcastable over (specimens,
-# rungs): the readout before any exposure, then at each rung min(immediate,
-# after), after, and whether the specimen is destroyed. They are
-# run_campaign's `attenuation` values bit for bit, up to the rung where the
-# campaign stops; later rungs are not meaningful. The ladder's delivered
-# power never falls, so a specimen over a threshold at one rung is over it
-# at every later one, and no state need carry from rung to rung.
+# One function per class reads a batch of fresh specimens (one class, profile
+# and setpoint) at every exposed rung of a campaign's power ladder at once.
+# It returns (baseline, lowest, after, destroyed), each broadcastable over
+# (specimens, rungs): the readout before any exposure, then at each rung
+# min(immediate, after), after, and whether the specimen is destroyed. They
+# are run_campaign's `attenuation` values bit for bit, up to the rung where
+# the campaign stops; later rungs are not meaningful. The ladder's delivered
+# power never falls, so a manual, fixed or MEMS specimen over a threshold at
+# one rung is over it at every later one: its construction draws alone decide
+# every rung. A VDMC specimen's exposure history does carry from rung to
+# rung, so its readout steps through the rungs in order.
 
 
 def _maximum(a, b):
@@ -599,12 +651,12 @@ def _column(specimens: list[AttenuatorState], name: str) -> np.ndarray:
     return np.array([getattr(s, name) for s in specimens])[:, None]
 
 
-def _manual_readout(specimens, p_w, p_dbm, cooldown_s):
+def _manual_readout(specimens, p_w, p_dbm, config):
     level = _manual_attenuation(specimens[0], specimens[0].control)
     return level, level, level, False
 
 
-def _fixed_readout(specimens, p_w, p_dbm, cooldown_s):
+def _fixed_readout(specimens, p_w, p_dbm, config):
     first = specimens[0]
     profile, setpoint = first.profile, first.setpoint_db
     fate = _column(specimens, "fate")
@@ -616,11 +668,8 @@ def _fixed_readout(specimens, p_w, p_dbm, cooldown_s):
     if heated.any():
         scale = np.array([_fixed_heat_scale(profile, w) for w in p_w.tolist()])
         drop = _column(specimens, "fixed_thermal_base_db") * scale
-        bad = heated & (-drop >= 0)
-        if bad.any():  # run_campaign fails building this outcome; so do we
-            ExposureOutcome(OutcomeKind.TEMPORARY_DROP, float(-drop[bad][0]))
         offset = np.where(heated, -drop, 0.0)
-    cooled = _cooled_offset(offset, profile.recovery_tau_s, cooldown_s)
+    cooled = _cooled_offset(offset, profile.recovery_tau_s, config.cooldown_s)
     floor = profile.insertion_loss_floor_db
     blocked = setpoint + _column(specimens, "fixed_failure_increase_db")
     immediate = np.where(destroyed, blocked, _maximum(setpoint + offset, floor))
@@ -629,7 +678,7 @@ def _fixed_readout(specimens, p_w, p_dbm, cooldown_s):
     return baseline, _minimum(immediate, after), after, destroyed
 
 
-def _mems_readout(specimens, p_w, p_dbm, cooldown_s):
+def _mems_readout(specimens, p_w, p_dbm, config):
     first = specimens[0]
     profile = first.profile
     fate = _column(specimens, "fate")
@@ -650,10 +699,63 @@ def _mems_readout(specimens, p_w, p_dbm, cooldown_s):
     return baseline, after, after, destroyed
 
 
+def _vdmc_readout(specimens, p_w, p_dbm, config):
+    # The control never moves, so a campaign exposes one disk point. Its
+    # VdmcPoint fields are carried as arrays over the specimens and updated
+    # as _exposed_vdmc_point updates them; a specimen draws its dip once, on
+    # the rung where its point first clears the law.
+    first = specimens[0]
+    control = first.control
+    key = _vdmc_key(control)
+    n = len(specimens)
+    thr = np.array([s.sampled_attack_threshold_dbm for s in specimens])
+    tier_thr = [thr + off for off in VDMC_TIER_OFFSETS_DB]
+    tier_times = [np.zeros(n) for _ in VDMC_TIER_TIMES_S]
+    max_w = np.zeros(n)
+    damaged = np.zeros(n, dtype=bool)
+    resistant = np.zeros(n, dtype=bool)
+    count = np.zeros(n, dtype=int)
+    depth = np.zeros(n)
+    weight = np.zeros(n)  # _vdmc_dip_weight at the setting, 0 until damaged
+    # VDMC_DEEPEN_FACTOR ** count as the scalar engine computes it, by count
+    factors = np.array([VDMC_DEEPEN_FACTOR ** c for c in range(len(p_w) + 1)])
+    dip = np.empty((n, len(p_w)))
+    for j, (w, dbm) in enumerate(zip(p_w.tolist(), p_dbm.tolist())):
+        if w > 0:  # apply_exposure leaves the point untouched at 0 W
+            tier_times = [
+                np.where(dbm >= t_thr, t + config.dwell_s, t)
+                for t, t_thr in zip(tier_times, tier_thr)
+            ]
+            deepen = damaged & _vdmc_deepens(w, max_w)
+            count += deepen
+            depth = np.where(deepen, _vdmc_deepened(depth, factors[count]), depth)
+            max_w = _maximum(max_w, w)
+            cleared = np.logical_or.reduce(
+                [t >= t_req for t, t_req in zip(tier_times, VDMC_TIER_TIMES_S)]
+            )
+            for i in np.flatnonzero(cleared & ~damaged & ~resistant).tolist():
+                point = _drawn_vdmc_point(
+                    specimens[i], key, VdmcPoint(setting_db=control), optimal=dbm >= thr[i]
+                )
+                if point.resistant:
+                    resistant[i] = True
+                else:
+                    damaged[i] = True
+                    depth[i] = point.depth_db
+                    weight[i] = _vdmc_dip_weight(point, control)
+        dip[:, j] = depth * weight
+    # no exposure changes the thermal offset, so after equals immediate
+    after = _maximum(
+        control + first.thermal_offset_db + dip, first.profile.insertion_loss_floor_db
+    )
+    return _vdmc_attenuation(first, control), after, after, False
+
+
 BATCH_READOUT = {
     AttenuatorClass.MANUAL_VOA: _manual_readout,
     AttenuatorClass.FIXED: _fixed_readout,
     AttenuatorClass.MEMS_VOA: _mems_readout,
+    AttenuatorClass.VDMC_VOA: _vdmc_readout,
 }
 
 

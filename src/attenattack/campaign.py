@@ -275,8 +275,7 @@ def _batched_trials(
     """Yield (outcome codes, final_delta_db, attack_power_dbm) per batch of trials.
 
     Each trial's values are those run_campaign gives its specimen; the
-    attack power is only meaningful where the outcome is a success. The
-    class must have a BATCH_READOUT.
+    attack power is only meaningful where the outcome is a success.
     """
     readout = BATCH_READOUT[klass]
     rungs = None
@@ -293,7 +292,7 @@ def _batched_trials(
             p_w = np.array([r[1] for r in exposed])
             p_dbm = np.array([r[2] for r in exposed])
         n, n_exposed = len(specimens), len(exposed)
-        baseline, lowest, after, destroyed = readout(specimens, p_w, p_dbm, config.cooldown_s)
+        baseline, lowest, after, destroyed = readout(specimens, p_w, p_dbm, config)
 
         # one column per rung; a fuse rung is never exposed and can only end
         # the campaign, with the readout of the rung before it
@@ -338,8 +337,8 @@ def monte_carlo(
 
     `on_result`, if given, sees each trial's result as soon as it finishes;
     no result outlives its trial here, so memory does not grow with
-    `n_trials`. Without it, the classes with a BATCH_READOUT take the
-    batched engine, which gives the same summary without building results.
+    `n_trials`. Without it, the batched engine gives the same summary
+    without building results.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -353,7 +352,7 @@ def monte_carlo(
     attack_powers: list[float] = []
     seeds = trial_seeds(seed, n_trials)
 
-    if on_result is None and klass in BATCH_READOUT:
+    if on_result is None:
         batches = _batched_trials(config, klass, profile, setpoint_db, seeds, link, laser)
         for codes, final_delta, attack_power in batches:
             tally = np.bincount(codes, minlength=len(_OUTCOMES)).tolist()

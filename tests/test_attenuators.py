@@ -151,6 +151,27 @@ class TestFixed:
             if not state.destroyed:
                 assert attenuation(cool_down(state, 1e6)) == pytest.approx(25.0)
 
+    @pytest.mark.parametrize(
+        "mean, spread, success_p",
+        [(-0.1, 0.5, 1.0), (-0.1, 0.5, 0.05), (-0.9, 0.5, 1.0), (-0.2, 0.5, 4 / 12)],
+    )
+    def test_profile_that_can_draw_no_drop_rejected_for_every_seed(self, mean, spread, success_p):
+        # the drop is clipped at |mean| - 1.8 spread, here <= 0 dB
+        profile = dataclasses.replace(
+            DEFAULT_PROFILES[AttenuatorClass.FIXED], success_delta_db_mean=mean,
+            success_delta_db_spread=spread, success_probability=success_p, failure_probability=0.0,
+        )
+        for seed in range(30):
+            with pytest.raises(ValueError, match="success_delta_db_mean.*success_delta_db_spread"):
+                new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
+
+    def test_profile_without_successes_may_draw_any_drop(self):
+        profile = dataclasses.replace(
+            DEFAULT_PROFILES[AttenuatorClass.FIXED], success_delta_db_mean=-0.1,
+            success_delta_db_spread=0.5, success_probability=0.0,
+        )
+        assert new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=1).fate is not Fate.SUCCESS
+
 
 class TestMems:
     def test_baseline_monotone_in_voltage(self):
@@ -335,6 +356,18 @@ class TestProfiles:
                 failure_probability=0.7,
                 permanent=True,
             )
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(DamageProfile) if f.type == "float"]
+    )
+    def test_nan_field_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            dataclasses.replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], **{name: math.nan})
+
+    def test_infinite_thresholds_accepted(self):
+        manual = DEFAULT_PROFILES[AttenuatorClass.MANUAL_VOA]
+        assert dataclasses.replace(manual).attack_threshold_dbm == math.inf
+        assert profile_from_dict(manual, {"attack_threshold_dbm": None}) == manual
 
     def test_defaults_match_sample_populations(self):
         fixed = DEFAULT_PROFILES[AttenuatorClass.FIXED]

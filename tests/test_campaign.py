@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attenattack import campaign
+from attenattack import attenuators, campaign
 from attenattack.attenuators import (
     DEFAULT_PROFILES,
     DEFAULT_SETPOINTS,
@@ -253,7 +253,12 @@ class TestMonteCarlo:
             monte_carlo(CampaignConfig(), AttenuatorClass.FIXED, n_trials=0)
 
 
-BATCHED_CLASSES = [AttenuatorClass.FIXED, AttenuatorClass.MEMS_VOA, AttenuatorClass.MANUAL_VOA]
+BATCHED_CLASSES = [
+    AttenuatorClass.FIXED, AttenuatorClass.MEMS_VOA, AttenuatorClass.MANUAL_VOA,
+    AttenuatorClass.VDMC_VOA,
+]
+VDMC = AttenuatorClass.VDMC_VOA
+VDMC_PROFILE = DEFAULT_PROFILES[VDMC]
 
 
 def usually(usual, edges, lo, hi):
@@ -271,7 +276,11 @@ def batched_inputs(draw):
     if klass is AttenuatorClass.MEMS_VOA:
         # the taper below the damage band, where drops are partial
         edges += [20.0, 22.5, 24.0]
-    setpoint = draw(usually(DEFAULT_SETPOINTS[klass], edges, lo, hi))
+    setpoints = usually(DEFAULT_SETPOINTS[klass], edges, lo, hi)
+    if klass is AttenuatorClass.VDMC_VOA:
+        # near or below the 1.7 dB floor, which hides part or all of a dip
+        setpoints = st.one_of(setpoints, st.floats(0.0, 2.5))
+    setpoint = draw(setpoints)
 
     default = DEFAULT_PROFILES[klass]
     success_p, failure_p = draw(
@@ -284,15 +293,17 @@ def batched_inputs(draw):
         "success_probability": success_p,
         "failure_probability": failure_p,
         "recovery_tau_s": draw(usually(150.0, [0.0], 0.0, 500.0)),
-        "insertion_loss_floor_db": draw(usually(0.0, [25.0, 40.0], 0.0, 40.0)),
+        "insertion_loss_floor_db": draw(
+            usually(default.insertion_loss_floor_db, [0.0, 25.0, 40.0], 0.0, 40.0)
+        ),
     }
     if klass is AttenuatorClass.MANUAL_VOA:
         attack = draw(st.floats(28.0, 38.0))
         overrides["attack_threshold_dbm"] = attack
         overrides["failure_threshold_dbm"] = attack + draw(st.floats(0.0, 3.0))
     elif klass is AttenuatorClass.FIXED:
-        # a small mean drop over a wide spread can draw a drop <= 0, which
-        # the scalar engine rejects; the batched one must reject it too
+        # a small mean drop over a wide spread could draw a drop <= 0, so
+        # new_attenuator rejects the profile; both engines must fail alike
         overrides["success_delta_db_mean"] = draw(usually(-1.37, [-0.1], -3.0, -0.05))
         overrides["success_delta_db_spread"] = draw(usually(0.15, [0.0, 0.5], 0.0, 0.5))
     else:
@@ -319,6 +330,11 @@ def batched_inputs(draw):
     config = CampaignConfig(
         start_power_dbm=start,
         step_dbm=draw(usually(0.5, [1.0], 0.5, 1.0)),
+        # a long dwell clears the VDMC law's low-power tiers below the
+        # threshold
+        dwell_s=draw(usually(10.0, [10.1, 300.0], 10.0, 300.0)),
+        # far below any drop, a campaign runs on after the damage rung
+        success_delta_db=draw(usually(-1.0, [-20.0], -20.0, -0.5)),
         max_power_dbm=max_dbm,
         cooldown_s=draw(usually(10.0, [0.0], 0.0, 600.0)),
         connectorized_output=draw(st.booleans()),
@@ -328,41 +344,9 @@ def batched_inputs(draw):
     return klass, profile, setpoint, config, link
 
 
-# a fixed specimen drawing a drop <= 0, which both engines reject
-@example(
-    inputs=(
-        AttenuatorClass.FIXED,
-        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], success_probability=1.0,
-                failure_probability=0.0, success_delta_db_mean=-0.1,
-                success_delta_db_spread=0.5),
-        25.0, CampaignConfig(), LINK_20M,
-    ),
-    seed=0, n_trials=20, batch=3,
-)
-# the fuse trips on the first rung
-@example(
-    inputs=(
-        AttenuatorClass.MEMS_VOA, DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], 30.0,
-        CampaignConfig(connectorized_output=True, fuse_threshold_w=0.1), LINK_20M,
-    ),
-    seed=1, n_trials=5, batch=2,
-)
-# every rung delivers 0 W
-@example(
-    inputs=(
-        AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
-        CampaignConfig(), FiberLink(length_km=1e5),
-    ),
-    seed=2, n_trials=5, batch=2,
-)
-@settings(max_examples=300, deadline=None)
-@given(
-    inputs=batched_inputs(),
-    seed=st.integers(0, 2**32),
-    n_trials=st.integers(1, 40),
-    batch=st.integers(1, 9),
-)
-def test_batched_engine_matches_run_campaign(inputs, seed, n_trials, batch):
+def assert_engines_agree(inputs, seed, n_trials, batch):
+    """The batched engine gives each trial what run_campaign gives it, or
+    fails as it fails."""
     klass, profile, setpoint, config, link = inputs
     seeds = trial_seeds(seed, n_trials)
     with patch.object(campaign, "_BATCH_TRIALS", batch):
@@ -394,16 +378,123 @@ def test_batched_engine_matches_run_campaign(inputs, seed, n_trials, batch):
     assert batched == scalar
 
 
-def test_batched_memory_does_not_grow_with_trials():
+# a fixed profile that could draw a drop <= 0: every specimen is rejected
+@example(
+    inputs=(
+        AttenuatorClass.FIXED,
+        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], success_probability=1.0,
+                failure_probability=0.0, success_delta_db_mean=-0.1,
+                success_delta_db_spread=0.5),
+        25.0, CampaignConfig(), LINK_20M,
+    ),
+    seed=0, n_trials=20, batch=3,
+)
+# the fuse trips on the first rung
+@example(
+    inputs=(
+        AttenuatorClass.MEMS_VOA, DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], 30.0,
+        CampaignConfig(connectorized_output=True, fuse_threshold_w=0.1), LINK_20M,
+    ),
+    seed=1, n_trials=5, batch=2,
+)
+# every rung delivers 0 W
+@example(
+    inputs=(
+        AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
+        CampaignConfig(), FiberLink(length_km=1e5),
+    ),
+    seed=2, n_trials=5, batch=2,
+)
+# VDMC: every point resistant
+@example(
+    inputs=(VDMC, replace(VDMC_PROFILE, success_probability=0.0), 53.0, CampaignConfig(), LINK_20M),
+    seed=3, n_trials=8, batch=3,
+)
+# VDMC: a 300 s dwell clears the law below the threshold, a skewed dip
+@example(
+    inputs=(VDMC, VDMC_PROFILE, 53.0, CampaignConfig(dwell_s=300.0), LINK_20M),
+    seed=4, n_trials=20, batch=7,
+)
+# VDMC: 1 dB steps raise the power by more than 0.4 W, so dips deepen
+@example(
+    inputs=(
+        VDMC, VDMC_PROFILE, 53.0,
+        CampaignConfig(step_dbm=1.0, success_delta_db=-20.0), LINK_20M,
+    ),
+    seed=5, n_trials=20, batch=7,
+)
+# VDMC: the second rung delivers exactly 0.4 W more than the first, too
+# little to deepen a dip drawn on the first
+@example(
+    inputs=(
+        VDMC, VDMC_PROFILE, 53.0,
+        CampaignConfig(start_power_dbm=35.1606876664817, dwell_s=40.0, success_delta_db=-20.0),
+        LINK_20M,
+    ),
+    seed=6, n_trials=20, batch=7,
+)
+# VDMC: at 2 dB the 1.7 dB floor hides most of a dip, and at 1 dB all of it
+@example(
+    inputs=(VDMC, VDMC_PROFILE, 2.0, CampaignConfig(step_dbm=1.0), LINK_20M),
+    seed=7, n_trials=20, batch=7,
+)
+@example(
+    inputs=(VDMC, VDMC_PROFILE, 1.0, CampaignConfig(), LINK_20M),
+    seed=8, n_trials=10, batch=4,
+)
+# VDMC: specimens that never drop run on until the fuse trips
+@example(
+    inputs=(VDMC, VDMC_PROFILE, 53.0, CampaignConfig(connectorized_output=True), LINK_20M),
+    seed=9, n_trials=20, batch=7,
+)
+# VDMC: every rung delivers 0 W
+@example(
+    inputs=(VDMC, VDMC_PROFILE, 53.0, CampaignConfig(), FiberLink(length_km=1e5)),
+    seed=10, n_trials=5, batch=2,
+)
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=batched_inputs(),
+    seed=st.integers(0, 2**32),
+    n_trials=st.integers(1, 40),
+    batch=st.integers(1, 9),
+)
+def test_batched_engine_matches_run_campaign(inputs, seed, n_trials, batch):
+    assert_engines_agree(inputs, seed, n_trials, batch)
+
+
+def test_batched_vdmc_adds_each_dwell():
+    # With the shipped law no tier clears after more than three dwells, and
+    # up to three, adding and multiplying agree in every bit. Under this law,
+    # tier 0 alone decides: 12 dwells of 200/12 s add up to 199.99999999999997 s,
+    # though 12 * (200/12) == 200, so the point clears a rung later.
+    config = CampaignConfig(start_power_dbm=22.0, dwell_s=200 / 12)
+    with patch.object(attenuators, "VDMC_TIER_OFFSETS_DB", (-8.0, 50.0, 50.0)):
+        assert_engines_agree((VDMC, VDMC_PROFILE, 53.0, config, LINK_20M), 11, 20, 7)
+
+
+def batched_peak_growth(klass):
+    """tracemalloc peak of a summary-only monte_carlo at 20000 trials, less
+    the peak at 2000."""
     def peak_bytes(n_trials):
         tracemalloc.start()
         try:
-            monte_carlo(CampaignConfig(), AttenuatorClass.FIXED, n_trials=n_trials, seed=1)
+            monte_carlo(CampaignConfig(), klass, n_trials=n_trials, seed=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    return peak_bytes(20000) - peak_bytes(2000)
+
+
+def test_batched_memory_does_not_grow_with_trials():
     # Only the trial seeds and the successes' two float lists grow, by
     # ~0.5 MiB over these 18000 trials; arrays over all trials and rungs at
     # once would add ~35 MiB.
-    assert peak_bytes(20000) - peak_bytes(2000) < 2 * 2**20
+    assert batched_peak_growth(AttenuatorClass.FIXED) < 2 * 2**20
+
+
+def test_batched_vdmc_memory_does_not_grow_with_trials():
+    # ~0.85 MiB: VDMC succeeds in about 70% of trials, so its two float
+    # lists are longer
+    assert batched_peak_growth(AttenuatorClass.VDMC_VOA) < 2 * 2**20

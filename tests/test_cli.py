@@ -83,6 +83,31 @@ class TestCampaign:
         assert cp.returncode == 3
         assert "config error" in cp.stderr
 
+    def test_nan_profile_override_rejected(self, tmp_path: Path):
+        # json.load parses NaN; an override that compares false everywhere
+        # would otherwise silently do nothing
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(
+            '{"profiles": {"fixed": {"insertion_loss_floor_db": NaN, "recovery_tau_s": NaN}}}'
+        )
+        cp = run_cli("campaign", "--class", "fixed", "--trials", "5", "--config", str(cfg))
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert "must not be NaN" in cp.stderr
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+    def test_fixed_profile_that_can_draw_no_drop_exits_2(self, tmp_path: Path, seed):
+        cfg = tmp_path / "shallow.json"
+        cfg.write_text(json.dumps({"profiles": {"fixed": {
+            "success_delta_db_mean": -0.1, "success_delta_db_spread": 0.5,
+            "success_probability": 1.0, "failure_probability": 0.0,
+        }}}))
+        cp = run_cli("campaign", "--class", "fixed", "--seed", seed, "--config", str(cfg))
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stdout == ""
+        assert "success_delta_db_mean" in cp.stderr
+        assert "success_delta_db_spread" in cp.stderr
+
     def test_config_env_fallback(self, tmp_path: Path):
         import os
 
