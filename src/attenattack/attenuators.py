@@ -21,12 +21,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
 
-from .fiber import watts_to_dbm
+from .fiber import dbm_to_watts, watts_to_dbm
 
 
 class AttenuatorClass(enum.Enum):
@@ -66,7 +66,6 @@ class DamageProfile:
     success_delta_db_spread: float
     success_probability: float
     failure_probability: float
-    permanent: bool
     recovery_tau_s: float = 150.0
     insertion_loss_floor_db: float = 0.0
 
@@ -100,7 +99,6 @@ DEFAULT_PROFILES: dict[AttenuatorClass, DamageProfile] = {
         success_delta_db_spread=0.0,
         success_probability=0.0,
         failure_probability=0.0,
-        permanent=False,
     ),
     AttenuatorClass.FIXED: DamageProfile(
         attack_threshold_dbm=34.0,
@@ -109,7 +107,6 @@ DEFAULT_PROFILES: dict[AttenuatorClass, DamageProfile] = {
         success_delta_db_spread=0.15,
         success_probability=4 / 12,
         failure_probability=6 / 12,
-        permanent=False,
         recovery_tau_s=150.0,
     ),
     AttenuatorClass.MEMS_VOA: DamageProfile(
@@ -119,7 +116,6 @@ DEFAULT_PROFILES: dict[AttenuatorClass, DamageProfile] = {
         success_delta_db_spread=2.5,
         success_probability=8 / 13,
         failure_probability=4 / 13,
-        permanent=True,
     ),
     AttenuatorClass.VDMC_VOA: DamageProfile(
         attack_threshold_dbm=34.5,
@@ -128,7 +124,6 @@ DEFAULT_PROFILES: dict[AttenuatorClass, DamageProfile] = {
         success_delta_db_spread=3.5,
         success_probability=18 / 25,
         failure_probability=0.0,
-        permanent=True,
         insertion_loss_floor_db=1.7,
     ),
 }
@@ -136,11 +131,16 @@ DEFAULT_PROFILES: dict[AttenuatorClass, DamageProfile] = {
 # Per-sample thresholds scatter uniformly within +-1 dBm of the class mean.
 THRESHOLD_DISPERSION_DBM = 1.0
 
+# MEMS voltage-attenuation curve parameters.
+MEMS_V_MAX = 15.0
+MEMS_A_MIN = 1.0
+MEMS_A_MAX = 34.0
+
 # Control ranges, dB of attenuation.
 SETPOINT_RANGES = {
     AttenuatorClass.MANUAL_VOA: (1.5, 80.0),
     AttenuatorClass.FIXED: (25.0, 25.0),
-    AttenuatorClass.MEMS_VOA: (1.0, 34.0),
+    AttenuatorClass.MEMS_VOA: (MEMS_A_MIN, MEMS_A_MAX),
     AttenuatorClass.VDMC_VOA: (0.0, 80.0),
 }
 
@@ -152,10 +152,6 @@ DEFAULT_SETPOINTS = {
     AttenuatorClass.VDMC_VOA: 53.0,
 }
 
-# MEMS voltage-attenuation curve parameters.
-MEMS_V_MAX = 15.0
-MEMS_A_MIN = 1.0
-MEMS_A_MAX = 34.0
 # Permanent drop is concentrated in the top 30% of the attenuation range,
 # tapering linearly to zero below it.
 MEMS_BAND_FRACTION = 0.30
@@ -248,7 +244,6 @@ class AttenuatorState:
     thermal_offset_db: float = 0.0
     destroyed: bool = False
     blocked_db: float = 0.0
-    clock_s: float = 0.0
     # Fixed-class draws
     fixed_thermal_base_db: float = 0.0
     fixed_failure_increase_db: float = 0.0
@@ -273,23 +268,21 @@ def new_attenuator(
     """Instantiate a seeded attenuator specimen at the given setpoint."""
     if profile is None:
         profile = DEFAULT_PROFILES[klass]
-    lo, hi = SETPOINT_RANGES[klass]
     if setpoint_db is None:
         setpoint_db = DEFAULT_SETPOINTS[klass]
-    if not lo <= setpoint_db <= hi:
-        raise ValueError(
-            f"setpoint {setpoint_db} dB out of range [{lo}, {hi}] for {klass.value}"
-        )
+    _check_setting(klass, setpoint_db)
 
-    if (
-        klass is AttenuatorClass.FIXED
-        and profile.success_probability > 0
-        and _fixed_drop_range(profile)[0] <= 0
-    ):
-        raise ValueError(
-            "fixed profile can draw a drop <= 0: need |success_delta_db_mean| > "
-            "1.8 * success_delta_db_spread"
-        )
+    if klass is AttenuatorClass.FIXED:
+        if profile.success_probability > 0 and _fixed_drop_range(profile)[0] <= 0:
+            raise ValueError(
+                "fixed profile can draw a drop <= 0: need |success_delta_db_mean| > "
+                "1.8 * success_delta_db_spread"
+            )
+        # the drop scales by power over these watts; only a dBm < 0 can underflow
+        if profile.attack_threshold_dbm < 0 and dbm_to_watts(profile.attack_threshold_dbm) == 0:
+            raise ValueError(
+                f"fixed attack_threshold_dbm {profile.attack_threshold_dbm} underflows to 0 W"
+            )
 
     rng = np.random.default_rng(seed)
     if math.isfinite(profile.attack_threshold_dbm):
@@ -369,14 +362,14 @@ def attenuation(state: AttenuatorState, control: float | None = None) -> float:
     return _ATTENUATION[state.klass](state, control)
 
 
-def _check_setting(state: AttenuatorState, control: float) -> None:
-    lo, hi = SETPOINT_RANGES[state.klass]
-    if not lo <= control <= hi:
-        raise ValueError(f"{state.klass.value} setting out of range: {control}")
+def _check_setting(klass: AttenuatorClass, setting_db: float) -> None:
+    lo, hi = SETPOINT_RANGES[klass]
+    if not lo <= setting_db <= hi:
+        raise ValueError(f"{klass.value} setting {setting_db} dB out of range [{lo}, {hi}]")
 
 
 def _manual_attenuation(state: AttenuatorState, control: float) -> float:
-    _check_setting(state, control)
+    _check_setting(state.klass, control)
     return control
 
 
@@ -397,7 +390,7 @@ def _mems_attenuation(state: AttenuatorState, control: float) -> float:
 
 def _vdmc_attenuation(state: AttenuatorState, control: float) -> float:
     # baseline is the calibrated identity curve plus any local dips
-    _check_setting(state, control)
+    _check_setting(state.klass, control)
     value = control + state.thermal_offset_db
     for point in state.vdmc_points.values():
         value += _vdmc_dip_db(point, control)
@@ -445,7 +438,6 @@ def apply_exposure(
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
 
     new = state.copy()
-    new.clock_s += duration_s
     if power_w == 0.0:
         return new, _NO_CHANGE
     return new, _EXPOSE[state.klass](new, power_w, watts_to_dbm(power_w), duration_s)
@@ -468,8 +460,7 @@ def _expose_fixed(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureO
 
 def _fixed_heat_scale(profile: DamageProfile, power_w: float) -> float:
     """Thermal-drop multiplier at power_w, relative to the class-mean threshold."""
-    p_ref_w = 10.0 ** (profile.attack_threshold_dbm / 10.0) / 1000.0
-    return min(power_w / p_ref_w, FIXED_THERMAL_POWER_CAP)
+    return min(power_w / dbm_to_watts(profile.attack_threshold_dbm), FIXED_THERMAL_POWER_CAP)
 
 
 def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
@@ -606,7 +597,6 @@ def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:
     if elapsed_s < 0:
         raise ValueError(f"elapsed_s must be >= 0, got {elapsed_s}")
     new = state.copy()
-    new.clock_s += elapsed_s
     new.thermal_offset_db = _cooled_offset(
         state.thermal_offset_db, state.profile.recovery_tau_s, elapsed_s
     )
@@ -761,17 +751,7 @@ BATCH_READOUT = {
 
 # --- profile config loading -------------------------------------------------
 
-_PROFILE_FIELDS = {
-    "attack_threshold_dbm",
-    "failure_threshold_dbm",
-    "success_delta_db_mean",
-    "success_delta_db_spread",
-    "success_probability",
-    "failure_probability",
-    "permanent",
-    "recovery_tau_s",
-    "insertion_loss_floor_db",
-}
+_PROFILE_FIELDS = frozenset(f.name for f in fields(DamageProfile))
 
 
 class ProfileConfigError(ValueError):

@@ -35,8 +35,12 @@ from .attenuators import (
     cool_down,
     new_attenuator,
 )
+from .impact import DEFAULT_FAILURE_THRESHOLD_DB, DEFAULT_SUCCESS_THRESHOLD_DB
 
 SCHEMA_VERSION = 1
+
+# Most rungs a power ladder may hold; the default ladder has 30.
+MAX_RUNGS = 2000
 
 
 class CampaignOutcome(enum.Enum):
@@ -51,8 +55,8 @@ class CampaignConfig:
     start_power_dbm: float = 25.0
     step_dbm: float = 0.5
     dwell_s: float = 10.0
-    success_delta_db: float = -1.0
-    failure_delta_db: float = 3.0
+    success_delta_db: float = DEFAULT_SUCCESS_THRESHOLD_DB
+    failure_delta_db: float = DEFAULT_FAILURE_THRESHOLD_DB
     max_power_dbm: float = 39.5
     cooldown_s: float = 10.0
     connectorized_output: bool = False
@@ -98,18 +102,28 @@ class CampaignResult:
     attack_power_dbm: float | None
 
     def to_json_dict(self, config: CampaignConfig) -> dict:
+        state = self.final_state
         return {
-            "schema": SCHEMA_VERSION,
-            "config": asdict(config),
-            "attenuator_class": self.final_state.klass.value,
-            "setpoint_db": self.final_state.setpoint_db,
-            "seed": self.final_state.seed,
+            **document_header(config, state.klass, state.setpoint_db, state.seed),
             "baseline_db": self.baseline_db,
             "outcome": self.outcome.value,
             "final_delta_db": self.final_delta_db,
             "attack_power_dbm": self.attack_power_dbm,
             "steps": [dict(vars(s)) for s in self.steps],
         }
+
+
+def document_header(
+    config: CampaignConfig, klass: AttenuatorClass, setpoint_db: float, seed: int
+) -> dict:
+    """The keys a campaign document shares with a Monte Carlo one."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "config": asdict(config),
+        "attenuator_class": klass.value,
+        "setpoint_db": setpoint_db,
+        "seed": seed,
+    }
 
 
 def check_fuse(config: CampaignConfig, power_w_at_connector: float) -> bool:
@@ -129,7 +143,7 @@ def _power_ladder(config: CampaignConfig, link: FiberLink, laser: LaserSource):
     Power climbs from the start level in fixed steps up to the lower of
     max_power_dbm and the link's injectable limit. The last rung is the
     first that reaches that cap or trips the fuse. A rung that delivers 0 W
-    reads -inf dBm.
+    reads -inf dBm. A ladder of more than MAX_RUNGS rungs is rejected.
     """
     injectable_w, _ = max_injectable_power(link, laser)
     if dbm_to_watts(config.start_power_dbm) > injectable_w:
@@ -138,6 +152,8 @@ def _power_ladder(config: CampaignConfig, link: FiberLink, laser: LaserSource):
             f"limit of {injectable_w:.3g} W"
         )
     cap_dbm = min(config.max_power_dbm, watts_to_dbm(injectable_w))
+    if (cap_dbm - config.start_power_dbm) / config.step_dbm > MAX_RUNGS - 1:
+        raise ValueError(f"a ladder from {config.start_power_dbm} dBm has over {MAX_RUNGS} rungs")
     p_dbm = config.start_power_dbm
     while True:
         p_set = min(p_dbm, cap_dbm)
@@ -329,8 +345,8 @@ def monte_carlo(
     setpoint_db: float | None = None,
     n_trials: int = 1000,
     seed: int = 0,
-    link: FiberLink | None = None,
-    laser: LaserSource | None = None,
+    link: FiberLink = FiberLink(length_km=0.02),
+    laser: LaserSource = LaserSource(),
     on_result: Callable[[CampaignResult], None] | None = None,
 ) -> MonteCarloSummary:
     """Run independent seeded campaigns and aggregate outcome statistics.
@@ -342,10 +358,6 @@ def monte_carlo(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if link is None:
-        link = FiberLink(length_km=0.02)
-    if laser is None:
-        laser = LaserSource()
 
     counts = {o: 0 for o in CampaignOutcome}
     success_deltas: list[float] = []
@@ -371,8 +383,7 @@ def monte_carlo(
             if result.outcome is CampaignOutcome.SUCCESS:
                 success_deltas.append(result.final_delta_db)
                 attack_powers.append(result.attack_power_dbm)
-            if on_result is not None:
-                on_result(result)
+            on_result(result)
 
     return MonteCarloSummary(
         n_trials=n_trials,

@@ -7,7 +7,8 @@ Subcommands:
   risk        -- Bayesian vulnerability prediction for untested systems, JSON
 
 stdout carries only the machine-readable artifact; human-oriented notes go
-to stderr. Exit codes: 0 ok, 2 flag validation, 3 config schema violation.
+to stderr. Exit codes: 0 ok, 1 stdout closed before the output was all
+written, 2 flag validation, 3 config schema violation.
 """
 
 from __future__ import annotations
@@ -17,22 +18,21 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import fiber
 from .attenuators import (
     AttenuatorClass,
-    DEFAULT_PROFILES,
     DEFAULT_SETPOINTS,
     ProfileConfigError,
     load_profiles,
     new_attenuator,
 )
-from .campaign import SCHEMA_VERSION, CampaignConfig, monte_carlo, run_campaign, trial_seeds
+from .campaign import CampaignConfig, document_header, monte_carlo, run_campaign, trial_seeds
 from .impact import impact_report
 from .risk import Prior, RiskQuery, TestRecord, risk_report
 
+EXIT_STDOUT_CLOSED = 1
 EXIT_CONFIG_ERROR = 3
 
 CONFIG_ENV_VAR = "QLA_CONFIG"
@@ -115,12 +115,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Laser-damage attack simulator for QKD source attenuators",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # flags of every subcommand
+    common.add_argument("--out", default=None)
 
-    p = sub.add_parser("thresholds", help="SRS/SBS threshold curve CSV")
+    p = sub.add_parser("thresholds", help="SRS/SBS threshold curve CSV", parents=[common])
+    p.set_defaults(handler=_cmd_thresholds)
     p.add_argument("--l-min-km", type=float, default=0.01)
     p.add_argument("--l-max-km", type=float, default=20.0)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--linewidth-ghz", type=float, default=10.0)
+    p.add_argument("--linewidth-ghz", type=float, default=fiber.LaserSource.linewidth_ghz)
     p.add_argument("--alpha-per-km", type=float, default=fiber.DEFAULT_ALPHA_PER_KM)
     p.add_argument("--a-eff-um2", type=float, default=fiber.DEFAULT_A_EFF_UM2)
     p.add_argument("--g-r-m-per-w", type=float, default=fiber.DEFAULT_G_R_M_PER_W)
@@ -128,9 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--delta-nu-b-mhz", type=float, default=fiber.DEFAULT_DELTA_NU_B_MHZ
     )
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("campaign", help="run seeded damage campaign(s)")
+    p = sub.add_parser("campaign", help="run seeded damage campaign(s)", parents=[common])
+    p.set_defaults(handler=_cmd_campaign)
     p.add_argument(
         "--class",
         dest="attenuator_class",
@@ -142,22 +145,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="JSON damage-profile overrides")
     p.add_argument("--per-trial", action="store_true", help="include per-trial logs")
-    p.add_argument("--start-dbm", type=float, default=25.0)
-    p.add_argument("--step-dbm", type=float, default=0.5)
-    p.add_argument("--max-dbm", type=float, default=39.5)
-    p.add_argument("--dwell-s", type=float, default=10.0)
-    p.add_argument("--cooldown-s", type=float, default=10.0)
+    p.add_argument("--start-dbm", type=float, default=CampaignConfig.start_power_dbm)
+    p.add_argument("--step-dbm", type=float, default=CampaignConfig.step_dbm)
+    p.add_argument("--max-dbm", type=float, default=CampaignConfig.max_power_dbm)
+    p.add_argument("--dwell-s", type=float, default=CampaignConfig.dwell_s)
+    p.add_argument("--cooldown-s", type=float, default=CampaignConfig.cooldown_s)
     p.add_argument("--length-km", type=float, default=0.02)
     p.add_argument("--connectorized", action="store_true")
-    p.add_argument("--fuse-threshold-w", type=float, default=4.5)
-    p.add_argument("--out", default=None)
+    p.add_argument("--fuse-threshold-w", type=float, default=CampaignConfig.fuse_threshold_w)
 
-    p = sub.add_parser("impact", help="mean-photon-number impact report")
+    p = sub.add_parser("impact", help="mean-photon-number impact report", parents=[common])
+    p.set_defaults(handler=_cmd_impact)
     p.add_argument("--delta-db", type=float, required=True)
     p.add_argument("--mu0", type=float, default=0.5)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("risk", help="Bayesian vulnerability prediction")
+    p = sub.add_parser("risk", help="Bayesian vulnerability prediction", parents=[common])
+    p.set_defaults(handler=_cmd_risk)
     p.add_argument("--tested", type=int, default=5)
     p.add_argument("--compromised", type=int, default=4)
     p.add_argument("--dos", type=int, default=1)
@@ -166,95 +169,77 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prior", choices=[pr.value for pr in Prior], default=Prior.JEFFREYS.value
     )
-    p.add_argument("--out", default=None)
 
     return parser
 
 
-def _cmd_thresholds(args, parser, out) -> int:
-    try:
-        template = fiber.FiberLink(
-            length_km=args.l_max_km,
-            alpha_per_km=args.alpha_per_km,
-            a_eff_um2=args.a_eff_um2,
-            g_r_m_per_w=args.g_r_m_per_w,
-            g_b_m_per_w=args.g_b_m_per_w,
-            delta_nu_b_mhz=args.delta_nu_b_mhz,
-        )
-        laser = fiber.LaserSource(linewidth_ghz=args.linewidth_ghz)
-        curve = fiber.threshold_curve(
-            template, laser, args.l_min_km, args.l_max_km, args.points
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_thresholds(args, out) -> int:
+    template = fiber.FiberLink(
+        length_km=args.l_max_km,
+        alpha_per_km=args.alpha_per_km,
+        a_eff_um2=args.a_eff_um2,
+        g_r_m_per_w=args.g_r_m_per_w,
+        g_b_m_per_w=args.g_b_m_per_w,
+        delta_nu_b_mhz=args.delta_nu_b_mhz,
+    )
+    laser = fiber.LaserSource(linewidth_ghz=args.linewidth_ghz)
+    curve = fiber.threshold_curve(template, laser, args.l_min_km, args.l_max_km, args.points)
     _write(out, curve.to_csv())
     return 0
 
 
-def _cmd_campaign(args, parser, out) -> int:
+def _cmd_campaign(args, out) -> int:
     klass = AttenuatorClass(args.attenuator_class)
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    profile = None  # the class's shipped profile
     if config_path:
         try:
-            profiles = load_profiles(config_path)
+            profile = load_profiles(config_path)[klass]
         except (OSError, ProfileConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-    else:
-        profiles = DEFAULT_PROFILES
-    profile = profiles[klass]
 
     setpoint = DEFAULT_SETPOINTS[klass] if args.setpoint_db is None else args.setpoint_db
 
-    try:
-        config = CampaignConfig(
-            start_power_dbm=args.start_dbm,
-            step_dbm=args.step_dbm,
-            dwell_s=args.dwell_s,
-            max_power_dbm=args.max_dbm,
-            cooldown_s=args.cooldown_s,
-            connectorized_output=args.connectorized,
-            fuse_threshold_w=args.fuse_threshold_w,
-        )
-        link = fiber.FiberLink(length_km=args.length_km)
-        laser = fiber.LaserSource()
+    config = CampaignConfig(
+        start_power_dbm=args.start_dbm,
+        step_dbm=args.step_dbm,
+        dwell_s=args.dwell_s,
+        max_power_dbm=args.max_dbm,
+        cooldown_s=args.cooldown_s,
+        connectorized_output=args.connectorized,
+        fuse_threshold_w=args.fuse_threshold_w,
+    )
+    link = fiber.FiberLink(length_km=args.length_km)
+    laser = fiber.LaserSource()
 
-        # Each trial of a multi-trial run is encoded as it finishes; only its
-        # text is kept, after the separator that precedes it in "trials".
-        trials: list[str] = []
-
-        def keep(result) -> None:
-            trials.append(",\n    " if trials else "\n    ")
-            trials.append(_json(result.to_json_dict(config), 2))
-
-        if args.trials == 1:
-            state = new_attenuator(
-                klass, profile, setpoint, seed=trial_seeds(args.seed, 1)[0]
-            )
-            result = run_campaign(config, state, link, laser)
-        else:
-            summary = monte_carlo(
-                config,
-                klass,
-                profile,
-                setpoint,
-                n_trials=args.trials,
-                seed=args.seed,
-                link=link,
-                laser=laser,
-                on_result=keep if args.per_trial else None,
-            )
-    except ValueError as exc:
-        parser.error(str(exc))
     if args.trials == 1:
+        state = new_attenuator(klass, profile, setpoint, seed=trial_seeds(args.seed, 1)[0])
+        result = run_campaign(config, state, link, laser)
         _write(out, _json(result.to_json_dict(config)), "\n")
         return 0
+
+    # Each trial of a multi-trial run is encoded as it finishes; only its
+    # text is kept, after the separator that precedes it in "trials".
+    trials: list[str] = []
+
+    def keep(result) -> None:
+        trials.append(",\n    " if trials else "\n    ")
+        trials.append(_json(result.to_json_dict(config), 2))
+
+    summary = monte_carlo(
+        config,
+        klass,
+        profile,
+        setpoint,
+        n_trials=args.trials,
+        seed=args.seed,
+        link=link,
+        laser=laser,
+        on_result=keep if args.per_trial else None,
+    )
     doc = _json({
-        "schema": SCHEMA_VERSION,
-        "config": asdict(config),
-        "attenuator_class": klass.value,
-        "setpoint_db": setpoint,
-        "seed": args.seed,
+        **document_header(config, klass, setpoint, args.seed),
         "summary": summary.to_json_dict(),
     })
     if not args.per_trial:
@@ -266,30 +251,24 @@ def _cmd_campaign(args, parser, out) -> int:
     return 0
 
 
-def _cmd_impact(args, parser, out) -> int:
-    try:
-        report = impact_report(args.delta_db, mu_before=args.mu0)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_impact(args, out) -> int:
+    report = impact_report(args.delta_db, mu_before=args.mu0)
     print(report.summary_line(), file=sys.stderr)
     _write(out, _json(report.to_json_dict()), "\n")
     return 0
 
 
-def _cmd_risk(args, parser, out) -> int:
-    try:
-        query = RiskQuery(
-            record=TestRecord(
-                n_tested=args.tested,
-                n_compromised=args.compromised,
-                n_dos=args.dos,
-            ),
-            population_total=args.population,
-            vulnerable_fraction=args.fraction,
-            prior=Prior(args.prior),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_risk(args, out) -> int:
+    query = RiskQuery(
+        record=TestRecord(
+            n_tested=args.tested,
+            n_compromised=args.compromised,
+            n_dos=args.dos,
+        ),
+        population_total=args.population,
+        vulnerable_fraction=args.fraction,
+        prior=Prior(args.prior),
+    )
     _write(out, _json(risk_report(query)), "\n")
     return 0
 
@@ -297,29 +276,30 @@ def _cmd_risk(args, parser, out) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "thresholds": _cmd_thresholds,
-        "campaign": _cmd_campaign,
-        "impact": _cmd_impact,
-        "risk": _cmd_risk,
-    }
-    handler = handlers[args.subcommand]
-    if args.out is None:
-        return handler(args, parser, None)
-    # Opened before any compute, so a bad path fails at once. A run that
-    # fails removes the file it created rather than leave it empty.
-    created = not os.path.exists(args.out)
+    out = code = None
+    if args.out is not None:
+        # Opened before any compute, so a bad path fails at once. A run that
+        # fails removes the file it created rather than leave it empty.
+        created = not os.path.exists(args.out)
+        try:
+            out = open(args.out, "w")
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: error: cannot open --out {args.out}: {exc.strerror}\n")
     try:
-        out = open(args.out, "w")
-    except OSError as exc:
-        parser.exit(2, f"{parser.prog}: error: cannot open --out {args.out}: {exc.strerror}\n")
-    code = None
-    try:
-        with out:
-            code = handler(args, parser, out)
+        code = args.handler(args, out)
+        sys.stdout.flush()
+    except ValueError as exc:  # a library input check: a flag validation error
+        parser.error(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Python flushes stdout
+        # again at exit, so point it at devnull for that flush to succeed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_STDOUT_CLOSED
     finally:
-        if code != 0 and created:
-            os.remove(args.out)
+        if out is not None:
+            out.close()
+            if code != 0 and created:
+                os.remove(args.out)
     return code
 
 

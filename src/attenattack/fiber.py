@@ -62,15 +62,12 @@ class LaserSource:
 
     max_power_w: float = 9.0
     linewidth_ghz: float = 10.0
-    wavelength_nm: float = 1550.0
 
     def __post_init__(self):
         if not 0 <= self.max_power_w < math.inf:
             raise ValueError(f"max_power_w must be finite and >= 0, got {self.max_power_w}")
         if not 0 <= self.linewidth_ghz < math.inf:
             raise ValueError(f"linewidth_ghz must be finite and >= 0, got {self.linewidth_ghz}")
-        if not 0 < self.wavelength_nm < math.inf:
-            raise ValueError(f"wavelength_nm must be finite and > 0, got {self.wavelength_nm}")
 
 
 def effective_length(link: FiberLink) -> float:

@@ -165,6 +165,26 @@ class TestFixed:
             with pytest.raises(ValueError, match="success_delta_db_mean.*success_delta_db_spread"):
                 new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
 
+    @pytest.mark.parametrize("attack", [-4000.0, -1e308, -math.inf])
+    def test_profile_whose_threshold_underflows_rejected_for_every_seed(self, attack):
+        # the thermal drop scales by power over the threshold's watts, here 0.0
+        profile = dataclasses.replace(
+            DEFAULT_PROFILES[AttenuatorClass.FIXED], attack_threshold_dbm=attack
+        )
+        for seed in range(30):
+            with pytest.raises(ValueError, match="underflows to 0 W"):
+                new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
+
+    def test_threshold_of_denormal_watts_accepted(self):
+        # -3200 dBm is about 1e-323 W: the heat scale saturates at its cap
+        profile = dataclasses.replace(
+            DEFAULT_PROFILES[AttenuatorClass.FIXED], attack_threshold_dbm=-3200.0
+        )
+        for seed in range(10):
+            state = new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
+            _, out = apply_exposure(state, 4.0, 60.0)
+            assert out.kind in (OutcomeKind.TEMPORARY_DROP, OutcomeKind.CRITICAL_FAILURE)
+
     def test_profile_without_successes_may_draw_any_drop(self):
         profile = dataclasses.replace(
             DEFAULT_PROFILES[AttenuatorClass.FIXED], success_delta_db_mean=-0.1,
@@ -344,7 +364,6 @@ class TestProfiles:
                 success_delta_db_spread=0.1,
                 success_probability=0.5,
                 failure_probability=0.1,
-                permanent=True,
             )
         with pytest.raises(ValueError):
             DamageProfile(
@@ -354,7 +373,6 @@ class TestProfiles:
                 success_delta_db_spread=0.1,
                 success_probability=0.7,
                 failure_probability=0.7,
-                permanent=True,
             )
 
     @pytest.mark.parametrize(
@@ -402,6 +420,7 @@ class TestProfiles:
             {"profiles": {"mems-voa": {"bogus_field": 1}}},
             {"profiles": {"unknown-class": {}}},
             {"profiles": {"fixed": {"success_probability": 2.0}}},
+            {"profiles": {"mems-voa": {"permanent": False}}},
             {"profiles": "not-a-map"},
             {"extra": {}},
         ],

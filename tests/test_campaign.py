@@ -115,6 +115,20 @@ class TestRunCampaign:
         with pytest.raises(ValueError):
             run_campaign(cfg, state, link, LASER)
 
+    def test_ladder_of_max_rungs_accepted(self):
+        # 39.5 dBm is the cap here; a step of 0.5 dB adds up exactly
+        top = CampaignConfig().max_power_dbm
+        start = top - (campaign.MAX_RUNGS - 1) * 0.5
+        ladder = list(campaign._power_ladder(CampaignConfig(start_power_dbm=start), LINK_20M, LASER))
+        assert len(ladder) == campaign.MAX_RUNGS
+        assert ladder[-1][0] == top
+
+    @pytest.mark.parametrize("start", [-960.5, -1e7, -1e300])
+    def test_longer_ladder_rejected_before_any_rung(self, start):
+        ladder = campaign._power_ladder(CampaignConfig(start_power_dbm=start), LINK_20M, LASER)
+        with pytest.raises(ValueError, match=f"over {campaign.MAX_RUNGS} rungs"):
+            next(ladder)
+
     def test_fiber_limit_caps_the_sweep(self):
         link = FiberLink(length_km=20.0)  # injectable ~30.7 dBm
         state = new_attenuator(AttenuatorClass.MANUAL_VOA, None, 31.0, seed=0)
@@ -388,6 +402,16 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
         25.0, CampaignConfig(), LINK_20M,
     ),
     seed=0, n_trials=20, batch=3,
+)
+# a fixed profile whose attack threshold is 0.0 W: every specimen is rejected
+@example(
+    inputs=(
+        AttenuatorClass.FIXED,
+        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], attack_threshold_dbm=-4000.0,
+                failure_threshold_dbm=37.0),
+        25.0, CampaignConfig(), LINK_20M,
+    ),
+    seed=11, n_trials=5, batch=2,
 )
 # the fuse trips on the first rung
 @example(

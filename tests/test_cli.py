@@ -78,10 +78,12 @@ class TestCampaign:
 
     def test_bad_config_schema_exit_3(self, tmp_path: Path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"profiles": {"fixed": {"nope": 1}}}))
-        cp = run_cli("campaign", "--class", "fixed", "--config", str(cfg))
-        assert cp.returncode == 3
-        assert "config error" in cp.stderr
+        # `permanent` was a profile field that nothing read; it is unknown now
+        for klass, overrides in (("fixed", {"nope": 1}), ("mems-voa", {"permanent": False})):
+            cfg.write_text(json.dumps({"profiles": {klass: overrides}}))
+            cp = run_cli("campaign", "--class", klass, "--config", str(cfg))
+            assert cp.returncode == 3
+            assert "config error" in cp.stderr
 
     def test_nan_profile_override_rejected(self, tmp_path: Path):
         # json.load parses NaN; an override that compares false everywhere
@@ -107,6 +109,43 @@ class TestCampaign:
         assert cp.stdout == ""
         assert "success_delta_db_mean" in cp.stderr
         assert "success_delta_db_spread" in cp.stderr
+
+    @pytest.mark.parametrize(
+        "attack, trials", [("-4000", "1"), ("-4000", "5"), ("-Infinity", "5")]
+    )
+    def test_fixed_profile_whose_threshold_underflows_exits_2(self, tmp_path: Path, attack, trials):
+        # the thermal drop scales by power over the threshold's watts, 0.0 here
+        cfg = tmp_path / "underflow.json"
+        cfg.write_text(
+            '{"profiles": {"fixed": {"attack_threshold_dbm": %s, "failure_threshold_dbm": 37}}}'
+            % attack
+        )
+        cp = run_cli("campaign", "--class", "fixed", "--trials", trials, "--config", str(cfg))
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert "underflows to 0 W" in cp.stderr
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            # 2e7 rungs: rejected before any is run, not left to hang
+            (("--start-dbm=-1e7",), 2),
+            # 1000 rungs
+            (("--start-dbm=-460",), 0),
+            # the bound counts rungs up to the injectable limit, not to --max-dbm
+            (("--max-dbm", "1e7"), 0),
+        ],
+    )
+    def test_ladder_length_is_bounded(self, args, code):
+        cp = run_cli("campaign", "--class", "fixed", "--trials", "3", *args)
+        assert cp.returncode == code, cp.stderr
+        assert "Traceback" not in cp.stderr
+        if code == 2:
+            assert "rungs" in cp.stderr
+            assert cp.stdout == ""
+        else:
+            assert json.loads(cp.stdout)["summary"]["n_trials"] == 3
 
     def test_config_env_fallback(self, tmp_path: Path):
         import os
@@ -256,6 +295,22 @@ def test_per_trial_out_file_matches_stdout(tmp_path: Path):
     assert to_file.stdout == ""
     assert out.read_bytes() == to_stdout.stdout.encode()
     assert len(json.loads(to_stdout.stdout)["trials"]) == 4
+
+
+def test_stdout_closed_early_exits_1_without_traceback():
+    # about 800 KB, far more than a pipe buffer holds, so writes hit the
+    # closed pipe
+    cmd = [sys.executable, "-m", "attenattack", "campaign", "--class", "mems-voa",
+           "--trials", "100", "--per-trial"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert b"Traceback" not in stderr, stderr.decode()
 
 
 def test_only_risk_imports_scipy():
