@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
@@ -71,6 +72,10 @@ class DamageProfile:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if isinstance(value, int):  # JSON writes whole numbers as ints
+                if abs(value) > sys.float_info.max:
+                    raise ValueError(f"{name} is beyond the float range")
+                object.__setattr__(self, name, value := float(value))
             if isinstance(value, float) and math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
         if self.attack_threshold_dbm > self.failure_threshold_dbm:
@@ -615,25 +620,27 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
 # --- batched readouts -------------------------------------------------------
 # One function per class reads a batch of fresh specimens (one class, profile
 # and setpoint) at every exposed rung of a campaign's power ladder at once.
-# It returns (baseline, lowest, after, destroyed), each broadcastable over
-# (specimens, rungs): the readout before any exposure, then at each rung
-# min(immediate, after), after, and whether the specimen is destroyed. They
-# are run_campaign's `attenuation` values bit for bit, up to the rung where
+# It returns (baseline, immediate, after, destroyed, events), each
+# broadcastable over (specimens, rungs): the readout before any exposure,
+# then at each rung the readout at shutoff, the readout after cool-down,
+# whether the specimen is destroyed, and the kind of the rung's exposure
+# outcome as its index in OutcomeKind. They are run_campaign's `attenuation`
+# values and apply_exposure's outcome kinds bit for bit, up to the rung where
 # the campaign stops; later rungs are not meaningful. The ladder's delivered
 # power never falls, so a manual, fixed or MEMS specimen over a threshold at
 # one rung is over it at every later one: its construction draws alone decide
 # every rung. A VDMC specimen's exposure history does carry from rung to
-# rung, so its readout steps through the rungs in order.
+# rung, so its readout steps through the rungs in order. A 0 W rung changes
+# nothing: it reaches no threshold, and the VDMC readout skips it.
+
+_KIND_CODE = {kind: code for code, kind in enumerate(OutcomeKind)}
+_NO_CHANGE_CODE = _KIND_CODE[OutcomeKind.NO_CHANGE]
+_PERMANENT_DROP_CODE = _KIND_CODE[OutcomeKind.PERMANENT_DROP]
 
 
 def _maximum(a, b):
     """max(a, b) elementwise with Python's rules: b only where b > a."""
     return np.where(b > a, b, a)
-
-
-def _minimum(a, b):
-    """min(a, b) elementwise with Python's rules: b only where b < a."""
-    return np.where(b < a, b, a)
 
 
 def _column(specimens: list[AttenuatorState], name: str) -> np.ndarray:
@@ -643,7 +650,7 @@ def _column(specimens: list[AttenuatorState], name: str) -> np.ndarray:
 
 def _manual_readout(specimens, p_w, p_dbm, config):
     level = _manual_attenuation(specimens[0], specimens[0].control)
-    return level, level, level, False
+    return level, level, level, False, _NO_CHANGE_CODE
 
 
 def _fixed_readout(specimens, p_w, p_dbm, config):
@@ -664,8 +671,12 @@ def _fixed_readout(specimens, p_w, p_dbm, config):
     blocked = setpoint + _column(specimens, "fixed_failure_increase_db")
     immediate = np.where(destroyed, blocked, _maximum(setpoint + offset, floor))
     after = np.where(destroyed, blocked, _maximum(setpoint + cooled, floor))
-    baseline = _fixed_attenuation(first, first.control)
-    return baseline, _minimum(immediate, after), after, destroyed
+    events = np.select(
+        [destroyed, heated],
+        [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _KIND_CODE[OutcomeKind.TEMPORARY_DROP]],
+        _NO_CHANGE_CODE,
+    )
+    return _fixed_attenuation(first, first.control), immediate, after, destroyed, events
 
 
 def _mems_readout(specimens, p_w, p_dbm, config):
@@ -686,7 +697,15 @@ def _mems_readout(specimens, p_w, p_dbm, config):
     )
     baseline = _mems_attenuation(first, first.control)
     after = np.where(destroyed, MEMS_BLOCKED_DB, np.where(damaged, damaged_db, baseline))
-    return baseline, after, after, destroyed
+    # the drop is reported on the first damaged rung only
+    first_damage = damaged.copy()
+    first_damage[:, 1:] &= ~damaged[:, :-1]
+    events = np.select(
+        [destroyed, first_damage],
+        [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _PERMANENT_DROP_CODE],
+        _NO_CHANGE_CODE,
+    )
+    return baseline, after, after, destroyed, events
 
 
 def _vdmc_readout(specimens, p_w, p_dbm, config):
@@ -696,6 +715,7 @@ def _vdmc_readout(specimens, p_w, p_dbm, config):
     # the rung where its point first clears the law.
     first = specimens[0]
     control = first.control
+    floor = first.profile.insertion_loss_floor_db
     key = _vdmc_key(control)
     n = len(specimens)
     thr = np.array([s.sampled_attack_threshold_dbm for s in specimens])
@@ -710,6 +730,12 @@ def _vdmc_readout(specimens, p_w, p_dbm, config):
     # VDMC_DEEPEN_FACTOR ** count as the scalar engine computes it, by count
     factors = np.array([VDMC_DEEPEN_FACTOR ** c for c in range(len(p_w) + 1)])
     dip = np.empty((n, len(p_w)))
+    events = np.full((n, len(p_w)), _NO_CHANGE_CODE)
+
+    def measured(depth_db):
+        """_measured_vdmc_delta of each specimen's point at depth_db."""
+        return _maximum(control + depth_db * weight, floor) - max(control, floor)
+
     for j, (w, dbm) in enumerate(zip(p_w.tolist(), p_dbm.tolist())):
         if w > 0:  # apply_exposure leaves the point untouched at 0 W
             tier_times = [
@@ -718,11 +744,13 @@ def _vdmc_readout(specimens, p_w, p_dbm, config):
             ]
             deepen = damaged & _vdmc_deepens(w, max_w)
             count += deepen
+            shallower = depth
             depth = np.where(deepen, _vdmc_deepened(depth, factors[count]), depth)
             max_w = _maximum(max_w, w)
             cleared = np.logical_or.reduce(
                 [t >= t_req for t, t_req in zip(tier_times, VDMC_TIER_TIMES_S)]
             )
+            drawn = np.zeros(n, dtype=bool)
             for i in np.flatnonzero(cleared & ~damaged & ~resistant).tolist():
                 point = _drawn_vdmc_point(
                     specimens[i], key, VdmcPoint(setting_db=control), optimal=dbm >= thr[i]
@@ -730,15 +758,17 @@ def _vdmc_readout(specimens, p_w, p_dbm, config):
                 if point.resistant:
                     resistant[i] = True
                 else:
-                    damaged[i] = True
+                    damaged[i] = drawn[i] = True
                     depth[i] = point.depth_db
                     weight[i] = _vdmc_dip_weight(point, control)
+            if deepen.any() or drawn.any():
+                now = measured(depth)
+                dropped = (drawn & (now < 0)) | (deepen & (now - measured(shallower) < 0))
+                events[dropped, j] = _PERMANENT_DROP_CODE
         dip[:, j] = depth * weight
     # no exposure changes the thermal offset, so after equals immediate
-    after = _maximum(
-        control + first.thermal_offset_db + dip, first.profile.insertion_loss_floor_db
-    )
-    return _vdmc_attenuation(first, control), after, after, False
+    after = _maximum(control + first.thermal_offset_db + dip, floor)
+    return _vdmc_attenuation(first, control), after, after, False, events
 
 
 BATCH_READOUT = {

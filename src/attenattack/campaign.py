@@ -14,6 +14,7 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .attenuators import (
     AttenuatorClass,
     AttenuatorState,
     DamageProfile,
+    OutcomeKind,
     apply_exposure,
     attenuation,
     cool_down,
@@ -41,6 +43,12 @@ SCHEMA_VERSION = 1
 
 # Most rungs a power ladder may hold; the default ladder has 30.
 MAX_RUNGS = 2000
+
+# The injection link of a campaign given none: a 20 m patch fiber.
+DEFAULT_LINK = FiberLink(length_km=0.02)
+
+# The event of a step that tripped the fiber-fuse interlock.
+FUSE_TRIP = "FuseTrip"
 
 
 class CampaignOutcome(enum.Enum):
@@ -203,7 +211,7 @@ def run_campaign(
                     attenuation_immediate_db=before,
                     attenuation_after_db=before,
                     delta_db=0.0,
-                    event="FuseTrip",
+                    event=FUSE_TRIP,
                 )
             )
             outcome = CampaignOutcome.FIBER_FUSE_DOS
@@ -274,9 +282,57 @@ def trial_seeds(master_seed: int, n_trials: int) -> list[int]:
 # a fixed batch keeps its memory independent of n_trials.
 _BATCH_TRIALS = 256
 
-# A batched trial's outcome code indexes this.
-_OUTCOMES = tuple(CampaignOutcome)
-_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
+# A batched trial's outcome code indexes OUTCOMES, and a step's event code
+# indexes STEP_EVENTS: the exposure outcome kinds, then the fuse trip.
+OUTCOMES = tuple(CampaignOutcome)
+_CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
+STEP_EVENTS = (*(kind.value for kind in OutcomeKind), FUSE_TRIP)
+
+
+class TrialBatch(NamedTuple):
+    """Consecutive trials of the batched engine, as arrays.
+
+    Per trial: `seeds` (ints), the outcome code, final_delta_db,
+    attack_power_dbm (meaningful only on success), baseline_db and the rung
+    the campaign stopped on. Per rung: the CampaignStep fields that hold for
+    every trial. Per trial and rung: those that do not, with the event as its
+    code. A trial's steps are its rungs up to and including its stop rung;
+    later ones are not meaningful.
+    """
+
+    seeds: list[int]
+    codes: np.ndarray
+    final_delta_db: np.ndarray
+    attack_power_dbm: np.ndarray
+    baseline_db: np.ndarray
+    stop: np.ndarray
+    power_dbm_set: np.ndarray
+    power_w_delivered: np.ndarray
+    duration_s: np.ndarray
+    attenuation_immediate_db: np.ndarray
+    attenuation_after_db: np.ndarray
+    events: np.ndarray
+
+    # Derived only when read, so a summary-only run never builds them.
+    @property
+    def attenuation_before_db(self) -> np.ndarray:
+        """Each rung's readout before its exposure: the rung before's after."""
+        after = self.attenuation_after_db
+        before = np.empty(after.shape)
+        before[:, 0] = self.baseline_db
+        before[:, 1:] = after[:, :-1]
+        return before
+
+    @property
+    def delta_db(self) -> np.ndarray:
+        """after - before at each rung; 0.0 at a fuse rung, which holds both."""
+        return self.attenuation_after_db - self.attenuation_before_db
+
+    def logged(self, name: str) -> list:
+        """The per-trial-and-rung field `name` at every step, trial after
+        trial, as a list: a trial's steps are its rungs up to its stop."""
+        values = getattr(self, name)
+        return values[np.arange(values.shape[1]) <= self.stop[:, None]].tolist()
 
 
 def _batched_trials(
@@ -288,42 +344,49 @@ def _batched_trials(
     link: FiberLink,
     laser: LaserSource,
 ):
-    """Yield (outcome codes, final_delta_db, attack_power_dbm) per batch of trials.
+    """Yield a TrialBatch per batch of trials.
 
-    Each trial's values are those run_campaign gives its specimen; the
-    attack power is only meaningful where the outcome is a success.
+    Each trial's values and steps are those run_campaign gives its specimen.
     """
     readout = BATCH_READOUT[klass]
     rungs = None
     for lo in range(0, len(seeds), _BATCH_TRIALS):
-        specimens = [
-            new_attenuator(klass, profile, setpoint_db, seed=s)
-            for s in seeds[lo:lo + _BATCH_TRIALS]
-        ]
+        batch_seeds = seeds[lo:lo + _BATCH_TRIALS]
+        specimens = [new_attenuator(klass, profile, setpoint_db, seed=s) for s in batch_seeds]
         if rungs is None:  # after a draw, so a bad setpoint is reported first
             rungs = list(_power_ladder(config, link, laser))
             p_set = np.array([r[0] for r in rungs])
+            p_w = np.array([r[1] for r in rungs])
             fused = rungs[-1][3]
-            exposed = rungs[:-1] if fused else rungs
-            p_w = np.array([r[1] for r in exposed])
-            p_dbm = np.array([r[2] for r in exposed])
-        n, n_exposed = len(specimens), len(exposed)
-        baseline, lowest, after, destroyed = readout(specimens, p_w, p_dbm, config)
-
-        # one column per rung; a fuse rung is never exposed and can only end
-        # the campaign, with the readout of the rung before it
-        delta_eval = np.empty((n, len(rungs)))
-        delta_post = np.empty((n, len(rungs)))
-        success = np.zeros((n, len(rungs)), dtype=bool)
-        failure = np.zeros((n, len(rungs)), dtype=bool)
-        exposed_cols = slice(0, n_exposed)
-        delta_eval[:, exposed_cols] = lowest - baseline
-        delta_post[:, exposed_cols] = after - baseline
-        success[:, exposed_cols], failure[:, exposed_cols] = _stop_rule(
-            config, delta_eval[:, exposed_cols], delta_post[:, exposed_cols], destroyed
+            n_exposed = len(rungs) - fused
+            duration = np.full(len(rungs), config.dwell_s)
+            duration[n_exposed:] = 0.0
+            exposed_dbm = np.array([r[2] for r in rungs[:n_exposed]])
+        n = len(specimens)
+        baseline, immediate, after, destroyed, events = readout(
+            specimens, p_w[:n_exposed], exposed_dbm, config
+        )
+        # one column per rung
+        immediate, after, events = (
+            np.broadcast_to(a, (n, n_exposed)) for a in (immediate, after, events)
         )
         if fused:
-            delta_post[:, -1] = delta_post[:, -2] if n_exposed else baseline - baseline
+            # a fuse rung is never exposed: it keeps the readout of the rung
+            # before it, and can only end the campaign
+            held = after[:, -1:] if n_exposed else np.full((n, 1), baseline)
+            immediate = np.hstack([immediate, held])
+            after = np.hstack([after, held])
+            events = np.hstack([events, np.full((n, 1), STEP_EVENTS.index(FUSE_TRIP))])
+
+        # min(immediate, after), as run_campaign takes it
+        lowest = np.where(after < immediate, after, immediate)
+        delta_eval = lowest - baseline
+        delta_post = after - baseline
+        success = np.zeros(after.shape, dtype=bool)
+        failure = np.zeros(after.shape, dtype=bool)
+        success[:, :n_exposed], failure[:, :n_exposed] = _stop_rule(
+            config, delta_eval[:, :n_exposed], delta_post[:, :n_exposed], destroyed
+        )
 
         stop = success | failure
         stop[:, -1] = True  # the last rung ends every campaign still running
@@ -335,7 +398,20 @@ def _batched_trials(
             [_CODE[CampaignOutcome.SUCCESS], _CODE[CampaignOutcome.CRITICAL_FAILURE]],
             _CODE[CampaignOutcome.FIBER_FUSE_DOS if fused else CampaignOutcome.INCONCLUSIVE],
         )
-        yield codes, np.where(won, delta_eval[rows, k], delta_post[rows, k]), p_set[k]
+        yield TrialBatch(
+            seeds=batch_seeds,
+            codes=codes,
+            final_delta_db=np.where(won, delta_eval[rows, k], delta_post[rows, k]),
+            attack_power_dbm=p_set[k],
+            baseline_db=np.broadcast_to(baseline, (n,)),
+            stop=k,
+            power_dbm_set=p_set,
+            power_w_delivered=p_w,
+            duration_s=duration,
+            attenuation_immediate_db=immediate,
+            attenuation_after_db=after,
+            events=events,
+        )
 
 
 def monte_carlo(
@@ -345,19 +421,23 @@ def monte_carlo(
     setpoint_db: float | None = None,
     n_trials: int = 1000,
     seed: int = 0,
-    link: FiberLink = FiberLink(length_km=0.02),
+    link: FiberLink = DEFAULT_LINK,
     laser: LaserSource = LaserSource(),
     on_result: Callable[[CampaignResult], None] | None = None,
+    on_batch: Callable[[TrialBatch], None] | None = None,
 ) -> MonteCarloSummary:
     """Run independent seeded campaigns and aggregate outcome statistics.
 
     `on_result`, if given, sees each trial's result as soon as it finishes;
     no result outlives its trial here, so memory does not grow with
     `n_trials`. Without it, the batched engine gives the same summary
-    without building results.
+    without building results, and `on_batch`, if given, sees each batch of
+    trials with their steps.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if on_result is not None and on_batch is not None:
+        raise ValueError("on_result runs run_campaign per trial; on_batch needs the batched engine")
 
     counts = {o: 0 for o in CampaignOutcome}
     success_deltas: list[float] = []
@@ -366,15 +446,17 @@ def monte_carlo(
 
     if on_result is None:
         batches = _batched_trials(config, klass, profile, setpoint_db, seeds, link, laser)
-        for codes, final_delta, attack_power in batches:
-            tally = np.bincount(codes, minlength=len(_OUTCOMES)).tolist()
-            for outcome, count in zip(_OUTCOMES, tally):
+        for batch in batches:
+            tally = np.bincount(batch.codes, minlength=len(OUTCOMES)).tolist()
+            for outcome, count in zip(OUTCOMES, tally):
                 counts[outcome] += count
-            won = codes == _CODE[CampaignOutcome.SUCCESS]
+            won = batch.codes == _CODE[CampaignOutcome.SUCCESS]
             # in trial order, so the sums below add the same floats in the
             # same order as the per-trial loop
-            success_deltas.extend(final_delta[won].tolist())
-            attack_powers.extend(attack_power[won].tolist())
+            success_deltas.extend(batch.final_delta_db[won].tolist())
+            attack_powers.extend(batch.attack_power_dbm[won].tolist())
+            if on_batch is not None:
+                on_batch(batch)
     else:
         for trial_seed in seeds:
             state = new_attenuator(klass, profile, setpoint_db, seed=trial_seed)

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
+import operator
 import os
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -28,8 +31,19 @@ from .attenuators import (
     load_profiles,
     new_attenuator,
 )
-from .campaign import CampaignConfig, document_header, monte_carlo, run_campaign, trial_seeds
-from .impact import impact_report
+from .campaign import (
+    DEFAULT_LINK,
+    OUTCOMES,
+    STEP_EVENTS,
+    CampaignConfig,
+    CampaignOutcome,
+    TrialBatch,
+    document_header,
+    monte_carlo,
+    run_campaign,
+    trial_seeds,
+)
+from .impact import DEFAULT_MU0, impact_report
 from .risk import Prior, RiskQuery, TestRecord, risk_report
 
 EXIT_STDOUT_CLOSED = 1
@@ -104,6 +118,94 @@ def _json(obj, level: int = 0) -> str:
     return "".join(chunks)
 
 
+def _template(obj, level: int, fields: dict[str, str]) -> str:
+    """`_json(obj, level)` as a %-format template: each string value of `obj`
+    that is a key of `fields` becomes that field's format spec."""
+    text = _json(obj, level).replace("%", "%%")
+    for marker, spec in fields.items():
+        text = text.replace(encode_basestring_ascii(marker), spec)
+    return text
+
+
+# The CampaignStep fields that differ from trial to trial at one rung, in
+# sorted order: the order of their %r fields in a step template.
+_STEP_READOUTS = (
+    "attenuation_after_db", "attenuation_before_db", "attenuation_immediate_db", "delta_db"
+)
+# What a trial's text holds between two of its steps.
+_STEP_SEPARATOR = ",\n" + _INDENT * 4
+_SUCCESS = OUTCOMES.index(CampaignOutcome.SUCCESS)
+_OUTCOME_JSON = [encode_basestring_ascii(outcome.value) for outcome in OUTCOMES]
+
+
+def _require_finite(*columns: list[float]) -> None:
+    """ValueError, as strict JSON raises it, unless every value is finite."""
+    if not all(map(math.isfinite, itertools.chain(*columns))):
+        raise ValueError("Out of range float values are not JSON compliant")
+
+
+def _trial_renderer(config: CampaignConfig, klass: AttenuatorClass, setpoint_db: float):
+    """A function from a TrialBatch of one monte_carlo run to the text of
+    each of its trials: what `_json(result.to_json_dict(config), 2)` writes
+    for the result run_campaign gives the trial, byte for byte.
+
+    The parts every trial shares are written once by _json, into templates
+    whose varying fields are filled with the repr of Python floats, as the
+    JSON encoder writes them; a numpy scalar's repr is not its JSON.
+    """
+    trial_fields = ("attack_power_dbm", "baseline_db", "final_delta_db", "outcome", "seed")
+    trial_template = _template(
+        {
+            **document_header(config, klass, float(setpoint_db), "\0seed"),
+            **{name: "\0" + name for name in trial_fields},
+            "steps": ["\0steps"],
+        },
+        2,
+        {"\0" + name: f"%({name})s" for name in (*trial_fields, "steps")},
+    )
+    step_templates: dict[tuple[int, int], str] = {}  # by (event code, rung)
+
+    def step_template(batch: TrialBatch, event: int, rung: int) -> str:
+        step = {name: "\0" + name for name in _STEP_READOUTS}
+        step["event"] = STEP_EVENTS[event]
+        for name in ("power_dbm_set", "power_w_delivered", "duration_s"):
+            step[name] = getattr(batch, name)[rung].item()
+        return _template(step, 4, {"\0" + name: "%r" for name in _STEP_READOUTS})
+
+    def render(batch: TrialBatch) -> list[str]:
+        readouts = [batch.logged(name) for name in _STEP_READOUTS]
+        stops = batch.stop.tolist()
+        baselines = batch.baseline_db.tolist()
+        final_deltas = batch.final_delta_db.tolist()
+        _require_finite(*readouts, baselines, final_deltas)
+        # the ladder is the same in every batch of a run
+        keys = list(zip(batch.logged("events"), (r for stop in stops for r in range(stop + 1))))
+        for key in set(keys).difference(step_templates):
+            step_templates[key] = step_template(batch, *key)
+        steps = list(map(operator.mod, map(step_templates.__getitem__, keys), zip(*readouts)))
+        texts, end = [], 0
+        for seed, code, power, baseline, final_delta, stop in zip(
+            batch.seeds,
+            batch.codes.tolist(),
+            batch.attack_power_dbm.tolist(),
+            baselines,
+            final_deltas,
+            stops,
+        ):
+            start, end = end, end + stop + 1
+            texts.append(trial_template % {
+                "attack_power_dbm": repr(power) if code == _SUCCESS else "null",
+                "baseline_db": repr(baseline),
+                "final_delta_db": repr(final_delta),
+                "outcome": _OUTCOME_JSON[code],
+                "seed": repr(seed),
+                "steps": _STEP_SEPARATOR.join(steps[start:end]),
+            })
+        return texts
+
+    return render
+
+
 def _write(out, *chunks: str) -> None:
     """Write to the --out file, or else to whatever sys.stdout is now."""
     (out or sys.stdout).writelines(chunks)
@@ -150,24 +252,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dbm", type=float, default=CampaignConfig.max_power_dbm)
     p.add_argument("--dwell-s", type=float, default=CampaignConfig.dwell_s)
     p.add_argument("--cooldown-s", type=float, default=CampaignConfig.cooldown_s)
-    p.add_argument("--length-km", type=float, default=0.02)
+    p.add_argument("--length-km", type=float, default=DEFAULT_LINK.length_km)
     p.add_argument("--connectorized", action="store_true")
     p.add_argument("--fuse-threshold-w", type=float, default=CampaignConfig.fuse_threshold_w)
 
     p = sub.add_parser("impact", help="mean-photon-number impact report", parents=[common])
     p.set_defaults(handler=_cmd_impact)
     p.add_argument("--delta-db", type=float, required=True)
-    p.add_argument("--mu0", type=float, default=0.5)
+    p.add_argument("--mu0", type=float, default=DEFAULT_MU0)
 
     p = sub.add_parser("risk", help="Bayesian vulnerability prediction", parents=[common])
     p.set_defaults(handler=_cmd_risk)
     p.add_argument("--tested", type=int, default=5)
     p.add_argument("--compromised", type=int, default=4)
     p.add_argument("--dos", type=int, default=1)
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--fraction", type=float, default=0.2)
+    p.add_argument("--population", type=int, default=RiskQuery.population_total)
+    p.add_argument("--fraction", type=float, default=RiskQuery.vulnerable_fraction)
     p.add_argument(
-        "--prior", choices=[pr.value for pr in Prior], default=Prior.JEFFREYS.value
+        "--prior", choices=[pr.value for pr in Prior], default=RiskQuery.prior.value
     )
 
     return parser
@@ -219,13 +321,16 @@ def _cmd_campaign(args, out) -> int:
         _write(out, _json(result.to_json_dict(config)), "\n")
         return 0
 
-    # Each trial of a multi-trial run is encoded as it finishes; only its
-    # text is kept, after the separator that precedes it in "trials".
+    # Each batch of trials of a multi-trial run is rendered as it finishes;
+    # only each trial's text is kept, after the separator that precedes it in
+    # "trials".
     trials: list[str] = []
+    render = _trial_renderer(config, klass, setpoint)
 
-    def keep(result) -> None:
-        trials.append(",\n    " if trials else "\n    ")
-        trials.append(_json(result.to_json_dict(config), 2))
+    def keep(batch) -> None:
+        for text in render(batch):
+            trials.append(",\n    " if trials else "\n    ")
+            trials.append(text)
 
     summary = monte_carlo(
         config,
@@ -236,7 +341,7 @@ def _cmd_campaign(args, out) -> int:
         seed=args.seed,
         link=link,
         laser=laser,
-        on_result=keep if args.per_trial else None,
+        on_batch=keep if args.per_trial else None,
     )
     doc = _json({
         **document_header(config, klass, setpoint, args.seed),
@@ -289,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args, out)
         sys.stdout.flush()
     except ValueError as exc:  # a library input check: a flag validation error
-        parser.error(str(exc))
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except BrokenPipeError:
         # The reader closed stdout early (`| head`). Python flushes stdout
         # again at exit, so point it at devnull for that flush to succeed.

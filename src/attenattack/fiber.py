@@ -23,8 +23,11 @@ MAX_CURVE_POINTS = 10**6
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    """Convert absolute power in dBm to watts."""
-    return 10.0 ** (p_dbm / 10.0) / 1000.0
+    """Convert absolute power in dBm to watts; inf above about 3082.5 dBm."""
+    try:
+        return 10.0 ** (p_dbm / 10.0) / 1000.0
+    except OverflowError:  # float ** raises where the result overflows
+        return math.inf
 
 
 def watts_to_dbm(p_w: float) -> float:

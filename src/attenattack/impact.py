@@ -14,6 +14,8 @@ from dataclasses import dataclass, asdict
 
 DEFAULT_SUCCESS_THRESHOLD_DB = -1.0
 DEFAULT_FAILURE_THRESHOLD_DB = 3.0
+# Mean photon number of the source before the attack.
+DEFAULT_MU0 = 0.5
 
 
 class ImpactClass(enum.Enum):
@@ -74,7 +76,7 @@ class ImpactReport:
 
 def impact_report(
     delta_attenuation_db: float,
-    mu_before: float = 0.5,
+    mu_before: float = DEFAULT_MU0,
     success_threshold_db: float = DEFAULT_SUCCESS_THRESHOLD_DB,
     failure_threshold_db: float = DEFAULT_FAILURE_THRESHOLD_DB,
 ) -> ImpactReport:

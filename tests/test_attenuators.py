@@ -382,6 +382,22 @@ class TestProfiles:
         with pytest.raises(ValueError, match=f"{name} must not be NaN"):
             dataclasses.replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], **{name: math.nan})
 
+    def test_whole_numbers_held_as_floats(self):
+        # a JSON config writes 60.0 as 60; both engines must then write 60.0
+        profile = profile_from_dict(
+            DEFAULT_PROFILES[AttenuatorClass.VDMC_VOA],
+            {"insertion_loss_floor_db": 60, "success_probability": 1},
+        )
+        assert type(profile.insertion_loss_floor_db) is float
+        assert type(profile.success_probability) is float
+        assert attenuation(new_attenuator(AttenuatorClass.VDMC_VOA, profile)) == 60.0
+
+    def test_whole_number_beyond_float_range_rejected(self):
+        with pytest.raises(ProfileConfigError, match="failure_threshold_dbm is beyond the float"):
+            profile_from_dict(
+                DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], {"failure_threshold_dbm": 10**400}
+            )
+
     def test_infinite_thresholds_accepted(self):
         manual = DEFAULT_PROFILES[AttenuatorClass.MANUAL_VOA]
         assert dataclasses.replace(manual).attack_threshold_dbm == math.inf

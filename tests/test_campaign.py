@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attenattack import attenuators, campaign
+from attenattack import attenuators, campaign, cli
 from attenattack.attenuators import (
     DEFAULT_PROFILES,
     DEFAULT_SETPOINTS,
@@ -359,8 +359,8 @@ def batched_inputs(draw):
 
 
 def assert_engines_agree(inputs, seed, n_trials, batch):
-    """The batched engine gives each trial what run_campaign gives it, or
-    fails as it fails."""
+    """The batched engine gives the summary and, rendered, each trial's
+    per-trial JSON document that run_campaign gives, or fails as it fails."""
     klass, profile, setpoint, config, link = inputs
     seeds = trial_seeds(seed, n_trials)
     with patch.object(campaign, "_BATCH_TRIALS", batch):
@@ -375,17 +375,16 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER)
             return
-        batches = list(
-            campaign._batched_trials(config, klass, profile, setpoint, seeds, link, LASER)
+        batches = []
+        batched = monte_carlo(
+            config, klass, profile, setpoint, n_trials, seed, link, LASER, on_batch=batches.append
         )
-        batched = monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER)
-    codes, deltas, powers = (np.concatenate(column).tolist() for column in zip(*batches))
-    assert len(codes) == n_trials
-    for result, code, delta, power in zip(expected, codes, deltas, powers):
-        assert campaign._OUTCOMES[code] is result.outcome
-        assert delta.hex() == result.final_delta_db.hex()
-        if result.outcome is CampaignOutcome.SUCCESS:
-            assert power.hex() == result.attack_power_dbm.hex()
+    assert [len(b.seeds) for b in batches] == [
+        min(batch, n_trials - lo) for lo in range(0, n_trials, batch)
+    ]
+    render = cli._trial_renderer(config, klass, setpoint)
+    rendered = [text for b in batches for text in render(b)]
+    assert rendered == [cli._json(result.to_json_dict(config), 2) for result in expected]
     scalar = monte_carlo(
         config, klass, profile, setpoint, n_trials, seed, link, LASER, on_result=lambda r: None
     )
@@ -475,6 +474,32 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
 @example(
     inputs=(VDMC, VDMC_PROFILE, 53.0, CampaignConfig(), FiberLink(length_km=1e5)),
     seed=10, n_trials=5, batch=2,
+)
+# fixed: temporary drops that recover below the success threshold, and
+# critical failures
+@example(
+    inputs=(
+        AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
+        CampaignConfig(cooldown_s=300.0), LINK_20M,
+    ),
+    seed=12, n_trials=30, batch=7,
+)
+# MEMS: in the taper below the damage band, a partial drop that does not end
+# the campaign; the drop is reported on its first rung only
+@example(
+    inputs=(
+        AttenuatorClass.MEMS_VOA,
+        replace(DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], success_probability=1.0,
+                failure_probability=0.0),
+        20.0, CampaignConfig(success_delta_db=-20.0), LINK_20M,
+    ),
+    seed=13, n_trials=20, batch=7,
+)
+# a whole-number floor, as a JSON config gives it, above the setpoint
+@example(
+    inputs=(VDMC, replace(VDMC_PROFILE, insertion_loss_floor_db=60), 53.0, CampaignConfig(),
+            LINK_20M),
+    seed=14, n_trials=5, batch=2,
 )
 @settings(max_examples=300, deadline=None)
 @given(

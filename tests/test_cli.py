@@ -1,9 +1,19 @@
+import contextlib
+import inspect
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from attenattack import cli
+from attenattack.campaign import DEFAULT_LINK, monte_carlo
+from attenattack.impact import impact_report
+from attenattack.risk import RiskQuery
 
 
 def run_cli(*args, env=None):
@@ -313,9 +323,89 @@ def test_stdout_closed_early_exits_1_without_traceback():
     assert b"Traceback" not in stderr, stderr.decode()
 
 
+def test_start_power_beyond_float_range_exits_2():
+    cp = run_cli("campaign", "--class", "fixed", "--start-dbm", "1e6", "--max-dbm", "1e7")
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.count("\n") == 1
+    assert "exceeds the injectable limit" in cp.stderr
+
+
+def test_defaults_come_from_the_library():
+    parser = cli._build_parser()
+    campaign_args = parser.parse_args(["campaign", "--class", "fixed"])
+    assert campaign_args.length_km == DEFAULT_LINK.length_km
+    assert inspect.signature(monte_carlo).parameters["link"].default is DEFAULT_LINK
+    impact_args = parser.parse_args(["impact", "--delta-db", "-1"])
+    assert impact_args.mu0 == inspect.signature(impact_report).parameters["mu_before"].default
+    risk_args = parser.parse_args(["risk"])
+    assert risk_args.population == RiskQuery.population_total
+    assert risk_args.fraction == RiskQuery.vulnerable_fraction
+    assert risk_args.prior == RiskQuery.prior.value
+
+
+@pytest.mark.parametrize("trials", [("--trials", "1"), ("--trials", "3", "--per-trial")])
+def test_non_finite_readout_exits_2(tmp_path: Path, trials):
+    # JSON config files may spell an infinite floor; every readout is then inf
+    cfg = tmp_path / "floor.json"
+    cfg.write_text('{"profiles": {"vdmc-voa": {"insertion_loss_floor_db": Infinity}}}')
+    out = tmp_path / "out.json"
+    cp = run_cli("campaign", "--class", "vdmc-voa", *trials, "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 2, cp.stderr
+    assert "not JSON compliant" in cp.stderr
+    assert not out.exists()
+
+
+def per_trial_peak(path: Path, n_trials: int) -> int:
+    """tracemalloc peak of an in-process --per-trial run written to `path`."""
+    argv = ["campaign", "--class", "mems-voa", "--trials", str(n_trials), "--seed", "3",
+            "--per-trial", "--out", str(path)]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_per_trial_memory_grows_only_by_its_text(tmp_path: Path):
+    # The trials' text is kept until the summary before it is known; nothing
+    # else may grow with --trials. 1024 more MEMS trials write ~8.7 MB.
+    per_trial_peak(tmp_path / "warm.json", 8)  # templates, encoders, imports
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    growth = per_trial_peak(large, 1280) - per_trial_peak(small, 256)
+    assert growth < large.stat().st_size - small.stat().st_size + 2**20
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_main_runs_one_blas_thread_unless_set(preset, expected):
+    code = """
+import contextlib, io, os, runpy, sys
+sys.argv = ["attenattack", "impact", "--delta-db", "-1"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("attenattack", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    cp = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == expected + "\n"
+
+
 def test_only_risk_imports_scipy():
     code = """
 import contextlib, io, sys
+import attenattack
+assert "numpy" not in sys.modules, "numpy imported with the package"
+assert "scipy" not in sys.modules, "scipy imported with the package"
 from attenattack.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(["campaign", "--class", "vdmc-voa", "--trials", "3", "--per-trial"])

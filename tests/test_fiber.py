@@ -250,6 +250,13 @@ class TestDbmConversions:
     def test_anchors(self, dbm, watts):
         assert dbm_to_watts(dbm) == pytest.approx(watts, rel=0.005)
 
+    @pytest.mark.parametrize("dbm", [3083.0, 1e6, 1e308, math.inf])
+    def test_power_beyond_float_range_is_inf(self, dbm):
+        assert dbm_to_watts(dbm) == math.inf
+
+    def test_largest_finite_power(self):
+        assert dbm_to_watts(3080.0) == pytest.approx(1e305)
+
     def test_nonpositive_watts_rejected(self):
         with pytest.raises(ValueError):
             watts_to_dbm(0.0)

@@ -6,7 +6,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attenattack.cli import _json
+from attenattack.attenuators import AttenuatorClass
+from attenattack.campaign import CampaignConfig, monte_carlo
+from attenattack.cli import _json, _trial_renderer
 
 
 def stdlib(obj):
@@ -76,3 +78,47 @@ def test_unserialisable_value_raises_type_error():
     for obj in ({"a": object()}, [[object()]]):
         with pytest.raises(TypeError):
             _json(obj)
+
+
+CONFIG = CampaignConfig(connectorized_output=True, fuse_threshold_w=4.0)
+
+
+def mems_batch():
+    """Six MEMS trials, some stopped before the last rung, which trips the fuse."""
+    batches = []
+    monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 6, 1, on_batch=batches.append)
+    (batch,) = batches
+    assert (batch.stop < len(batch.power_dbm_set) - 1).any()
+    return batch
+
+
+def render(batch):
+    return _trial_renderer(CONFIG, AttenuatorClass.MEMS_VOA, 30.0)(batch)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["attenuation_after_db", "attenuation_immediate_db"])
+@pytest.mark.parametrize("rung", [0, -1])  # -1: the stop rung, whose after no later step reads
+def test_trial_renderer_rejects_non_finite_step_value(bad, field, rung):
+    batch = mems_batch()
+    values = getattr(batch, field).copy()
+    values[-1, rung if rung == 0 else batch.stop[-1]] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render(batch._replace(**{field: values}))
+
+
+@pytest.mark.parametrize("field", ["baseline_db", "final_delta_db"])
+def test_trial_renderer_rejects_non_finite_trial_value(field):
+    batch = mems_batch()
+    values = getattr(batch, field).copy()
+    values[0] = math.inf
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render(batch._replace(**{field: values}))
+
+
+def test_trial_renderer_ignores_rungs_after_the_stop():
+    batch = mems_batch()
+    after = batch.attenuation_after_db.copy()
+    for row, stop in enumerate(batch.stop.tolist()):
+        after[row, stop + 1:] = math.nan
+    assert render(batch._replace(attenuation_after_db=after)) == render(batch)
