@@ -25,9 +25,10 @@ import sys
 from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy_module
 from .fiber import dbm_to_watts, watts_to_dbm
+
+np = _lazy_module("numpy")  # loaded on first use
 
 
 class AttenuatorClass(enum.Enum):

@@ -16,8 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy_module
 from .fiber import (
     FiberLink,
     LaserSource,
@@ -38,6 +37,8 @@ from .attenuators import (
     new_attenuator,
 )
 from .impact import DEFAULT_FAILURE_THRESHOLD_DB, DEFAULT_SUCCESS_THRESHOLD_DB
+
+np = _lazy_module("numpy")  # loaded on first use
 
 SCHEMA_VERSION = 1
 

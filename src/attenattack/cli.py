@@ -379,6 +379,11 @@ def _cmd_risk(args, out) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No subcommand does linear algebra, so one BLAS thread spares each run the
+    # start of OpenBLAS's thread pool. It must be set before numpy is first
+    # imported, which importing this module does not do; a value already set
+    # wins. Set here rather than in __main__, so the console script gets it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = code = None

@@ -28,7 +28,12 @@ def mpn_ratio(delta_attenuation_db: float) -> float:
     """Mean-photon-number multiplier caused by an attenuation change (dB)."""
     if not math.isfinite(delta_attenuation_db):
         raise ValueError(f"delta must be finite, got {delta_attenuation_db}")
-    return 10.0 ** (-delta_attenuation_db / 10.0)
+    try:
+        return 10.0 ** (-delta_attenuation_db / 10.0)
+    except OverflowError:  # a drop of more than about 3083 dB
+        raise ValueError(
+            f"delta {delta_attenuation_db} dB takes the mean photon number past the float range"
+        ) from None
 
 
 def adjusted_mu(mu0: float, delta_attenuation_db: float) -> float:

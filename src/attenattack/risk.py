@@ -12,7 +12,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _lazy_module
+
+np = _lazy_module("numpy")  # loaded on first use
 
 
 class Prior(enum.Enum):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from attenattack import cli
+from attenattack import _lazy_module, cli
 from attenattack.campaign import DEFAULT_LINK, monte_carlo
 from attenattack.impact import impact_report
 from attenattack.risk import RiskQuery
@@ -248,6 +248,7 @@ def test_non_finite_flag_exits_2(args):
         ("risk", "--population", "100000000"),
         ("risk", "--population", str(10**21)),
         ("thresholds", "--points", "100000000"),
+        ("impact", "--delta-db=-3100"),  # a mean photon number past the float range
     ],
 )
 def test_oversized_input_exits_2(args):
@@ -400,6 +401,43 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"))
     assert cp.stdout == expected + "\n"
 
 
+def test_console_script_runs_one_blas_thread():
+    # The console script calls cli.main without __main__; importing cli must
+    # not load numpy, so that main can still set the thread count first.
+    code = """
+import contextlib, io, os, sys
+from attenattack.cli import main
+assert "numpy._core" not in sys.modules, "numpy loaded on importing cli"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["campaign", "--class", "fixed", "--trials", "3"]) == 0
+assert "numpy._core" in sys.modules
+tasks = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    cp = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "1 1\n"
+
+
+def test_numpy_imported_first_is_the_one_used():
+    code = """
+import numpy
+from attenattack import attenuators, campaign, risk
+assert attenuators.np is campaign.np is risk.np is numpy
+"""
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr
+
+
+def test_missing_lazy_module_fails_at_import():
+    with pytest.raises(ModuleNotFoundError):
+        _lazy_module("attenattack_no_such_module")
+    assert "attenattack_no_such_module" not in sys.modules
+
+
 def test_only_risk_imports_scipy():
     code = """
 import contextlib, io, sys
@@ -407,10 +445,14 @@ import attenattack
 assert "numpy" not in sys.modules, "numpy imported with the package"
 assert "scipy" not in sys.modules, "scipy imported with the package"
 from attenattack.cli import main
+# The lazy `numpy` module may sit in sys.modules; its code runs, and loads
+# numpy._core, only when a computation first uses it.
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    main(["campaign", "--class", "vdmc-voa", "--trials", "3", "--per-trial"])
     main(["thresholds", "--points", "5"])
     main(["impact", "--delta-db", "-1"])
+    assert "numpy._core" not in sys.modules, "numpy loaded before campaign"
+    main(["campaign", "--class", "vdmc-voa", "--trials", "3", "--per-trial"])
+    assert "numpy._core" in sys.modules
     assert "scipy" not in sys.modules, "scipy imported before risk"
     main(["risk"])
 assert "scipy" in sys.modules

@@ -1,0 +1,115 @@
+"""Fuzz the flags of the analysis subcommands, in-process through cli.main.
+
+Every flag value is drawn from the edges of the float and int ranges (±inf,
+NaN, ±1e308, denormals, 0, ±3100, whole numbers up to 10**20) and from
+ordinary values. Whatever the input, a run must exit 0, 2 or 3 without any
+other exception, and a run that succeeds must write strict JSON, or CSV with
+the requested number of rows, every value finite.
+
+Size flags (`--points`, `--population`) draw only small or far out-of-range
+whole numbers, so that each case takes milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from attenattack import cli
+from attenattack.fiber import MAX_CURVE_POINTS
+from attenattack.risk import MAX_POPULATION
+
+EDGES = [
+    "inf", "-inf", "nan", "1e308", "-1e308", "5e-324", "-5e-324", "0", "-0.0",
+    "3100", "-3100", str(10**20), str(-(10**20)),
+]
+# Whole numbers: small, at the edges, and far past any size limit.
+WHOLE = st.one_of(
+    st.integers(-1000, 1000),
+    st.sampled_from([MAX_CURVE_POINTS + 1, MAX_POPULATION + 1, 2**63, 10**20, -(10**20)]),
+).map(str)
+VALUES = st.one_of(
+    st.sampled_from(EDGES), WHOLE, st.floats(1e-3, 1e3).map(repr), st.floats().map(repr)
+)
+SIZES = st.one_of(WHOLE, st.sampled_from(EDGES))
+
+THRESHOLD_FLAGS = [
+    "--l-min-km", "--l-max-km", "--linewidth-ghz", "--alpha-per-km", "--a-eff-um2",
+    "--g-r-m-per-w", "--g-b-m-per-w", "--delta-nu-b-mhz",
+]
+# Counts and fractions in the default query's range, as well as the rest.
+COUNTS = st.integers(0, 60).map(str) | VALUES
+FRACTIONS = st.floats(0, 1).map(repr) | VALUES
+
+FUZZ = settings(max_examples=200, deadline=None)
+
+
+def flags(**values) -> st.SearchStrategy[list[str]]:
+    """argv tail setting up to three of the flags to drawn values; the rest
+    keep their defaults, so that some runs get past validation."""
+    chosen = st.lists(st.sampled_from(sorted(values)), unique=True, max_size=3)
+    return chosen.flatmap(
+        lambda names: st.tuples(*(values[f].map(f"{f}={{}}".format) for f in names)).map(list)
+    )
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse and flag validation
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code)
+    if code != 0:
+        assert out.getvalue() == "", argv
+    return code, out.getvalue()
+
+
+def strict_json(text: str) -> dict:
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in the JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@FUZZ
+@given(flags(**dict.fromkeys(THRESHOLD_FLAGS, VALUES), **{"--points": SIZES}))
+def test_thresholds_flags(argv):
+    code, out = run(["thresholds", *argv])
+    if code != 0:
+        return
+    header, *rows = out.splitlines()
+    assert header == "length_km,p_srs_w,p_sbs_w"
+    points = dict(a.split("=", 1) for a in argv).get("--points", "200")
+    assert len(rows) == int(points)
+    for row in rows:
+        values = [float(v) for v in row.split(",")]
+        assert len(values) == 3 and all(map(math.isfinite, values)), row
+
+
+@FUZZ
+@given(VALUES, flags(**{"--mu0": VALUES}))
+def test_impact_flags(delta, argv):
+    code, out = run(["impact", f"--delta-db={delta}", *argv])
+    if code == 0:
+        strict_json(out)
+
+
+@FUZZ
+@given(
+    flags(
+        **dict.fromkeys(["--tested", "--compromised", "--dos"], COUNTS),
+        **{
+            "--population": SIZES,
+            "--fraction": FRACTIONS,
+            "--prior": st.sampled_from(["jeffreys", "uniform", "beta"]),
+        },
+    )
+)
+def test_risk_flags(argv):
+    code, out = run(["risk", *argv])
+    if code == 0:
+        strict_json(out)

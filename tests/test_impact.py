@@ -26,6 +26,14 @@ class TestMpnRatio:
         with pytest.raises(ValueError):
             mpn_ratio(float("nan"))
 
+    @pytest.mark.parametrize("delta", [-3100.0, -1e308])
+    def test_ratio_beyond_float_range_rejected(self, delta):
+        with pytest.raises(ValueError, match="float range"):
+            mpn_ratio(delta)
+
+    def test_ratio_below_float_range_is_zero(self):
+        assert mpn_ratio(1e308) == 0.0
+
     @given(
         st.floats(min_value=-40, max_value=40),
         st.floats(min_value=-40, max_value=40),
