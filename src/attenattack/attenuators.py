@@ -73,11 +73,13 @@ class DamageProfile:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if isinstance(value, int):  # JSON writes whole numbers as ints
                 if abs(value) > sys.float_info.max:
                     raise ValueError(f"{name} is beyond the float range")
                 object.__setattr__(self, name, value := float(value))
-            if isinstance(value, float) and math.isnan(value):
+            if math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
         if self.attack_threshold_dbm > self.failure_threshold_dbm:
             raise ValueError("attack threshold must not exceed failure threshold")
@@ -620,10 +622,10 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
 
 # --- batched readouts -------------------------------------------------------
 # One function per class reads a batch of fresh specimens (one class, profile
-# and setpoint) at every exposed rung of a campaign's power ladder at once.
-# It returns (baseline, immediate, after, destroyed, events), each
-# broadcastable over (specimens, rungs): the readout before any exposure,
-# then at each rung the readout at shutoff, the readout after cool-down,
+# and setpoint) at every exposed rung of a campaign's power ladder at once,
+# given `baseline`, their shared readout before any exposure. It returns
+# (immediate, after, destroyed, events), each broadcastable over (specimens,
+# rungs): at each rung the readout at shutoff, the readout after cool-down,
 # whether the specimen is destroyed, and the kind of the rung's exposure
 # outcome as its index in OutcomeKind. They are run_campaign's `attenuation`
 # values and apply_exposure's outcome kinds bit for bit, up to the rung where
@@ -649,12 +651,11 @@ def _column(specimens: list[AttenuatorState], name: str) -> np.ndarray:
     return np.array([getattr(s, name) for s in specimens])[:, None]
 
 
-def _manual_readout(specimens, p_w, p_dbm, config):
-    level = _manual_attenuation(specimens[0], specimens[0].control)
-    return level, level, level, False, _NO_CHANGE_CODE
+def _manual_readout(specimens, baseline, p_w, p_dbm, config):
+    return baseline, baseline, False, _NO_CHANGE_CODE
 
 
-def _fixed_readout(specimens, p_w, p_dbm, config):
+def _fixed_readout(specimens, baseline, p_w, p_dbm, config):
     first = specimens[0]
     profile, setpoint = first.profile, first.setpoint_db
     fate = _column(specimens, "fate")
@@ -677,10 +678,10 @@ def _fixed_readout(specimens, p_w, p_dbm, config):
         [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _KIND_CODE[OutcomeKind.TEMPORARY_DROP]],
         _NO_CHANGE_CODE,
     )
-    return _fixed_attenuation(first, first.control), immediate, after, destroyed, events
+    return immediate, after, destroyed, events
 
 
-def _mems_readout(specimens, p_w, p_dbm, config):
+def _mems_readout(specimens, baseline, p_w, p_dbm, config):
     first = specimens[0]
     profile = first.profile
     fate = _column(specimens, "fate")
@@ -696,7 +697,6 @@ def _mems_readout(specimens, p_w, p_dbm, config):
         level + _column(specimens, "mems_depth_db") * _mems_band_weight(level, level),
         profile.insertion_loss_floor_db,
     )
-    baseline = _mems_attenuation(first, first.control)
     after = np.where(destroyed, MEMS_BLOCKED_DB, np.where(damaged, damaged_db, baseline))
     # the drop is reported on the first damaged rung only
     first_damage = damaged.copy()
@@ -706,10 +706,10 @@ def _mems_readout(specimens, p_w, p_dbm, config):
         [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _PERMANENT_DROP_CODE],
         _NO_CHANGE_CODE,
     )
-    return baseline, after, after, destroyed, events
+    return after, after, destroyed, events
 
 
-def _vdmc_readout(specimens, p_w, p_dbm, config):
+def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
     # The control never moves, so a campaign exposes one disk point. Its
     # VdmcPoint fields are carried as arrays over the specimens and updated
     # as _exposed_vdmc_point updates them; a specimen draws its dip once, on
@@ -769,7 +769,7 @@ def _vdmc_readout(specimens, p_w, p_dbm, config):
         dip[:, j] = depth * weight
     # no exposure changes the thermal offset, so after equals immediate
     after = _maximum(control + first.thermal_offset_db + dip, floor)
-    return _vdmc_attenuation(first, control), after, after, False, events
+    return after, after, False, events
 
 
 BATCH_READOUT = {

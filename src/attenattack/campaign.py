@@ -364,8 +364,11 @@ def _batched_trials(
             duration[n_exposed:] = 0.0
             exposed_dbm = np.array([r[2] for r in rungs[:n_exposed]])
         n = len(specimens)
-        baseline, immediate, after, destroyed, events = readout(
-            specimens, p_w[:n_exposed], exposed_dbm, config
+        # the readout before any exposure, the same for every specimen: they
+        # share one class, profile and setpoint
+        baseline = attenuation(specimens[0])
+        immediate, after, destroyed, events = readout(
+            specimens, baseline, p_w[:n_exposed], exposed_dbm, config
         )
         # one column per rung
         immediate, after, events = (
@@ -424,49 +427,33 @@ def monte_carlo(
     seed: int = 0,
     link: FiberLink = DEFAULT_LINK,
     laser: LaserSource = LaserSource(),
-    on_result: Callable[[CampaignResult], None] | None = None,
     on_batch: Callable[[TrialBatch], None] | None = None,
 ) -> MonteCarloSummary:
     """Run independent seeded campaigns and aggregate outcome statistics.
 
-    `on_result`, if given, sees each trial's result as soon as it finishes;
-    no result outlives its trial here, so memory does not grow with
-    `n_trials`. Without it, the batched engine gives the same summary
-    without building results, and `on_batch`, if given, sees each batch of
-    trials with their steps.
+    The trials run in batches through the batched engine, which gives each
+    trial the outcome run_campaign gives its specimen. `on_batch`, if given,
+    sees each batch of trials with their steps; no batch outlives its call
+    here, so memory does not grow with `n_trials`.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if on_result is not None and on_batch is not None:
-        raise ValueError("on_result runs run_campaign per trial; on_batch needs the batched engine")
 
     counts = {o: 0 for o in CampaignOutcome}
     success_deltas: list[float] = []
     attack_powers: list[float] = []
     seeds = trial_seeds(seed, n_trials)
-
-    if on_result is None:
-        batches = _batched_trials(config, klass, profile, setpoint_db, seeds, link, laser)
-        for batch in batches:
-            tally = np.bincount(batch.codes, minlength=len(OUTCOMES)).tolist()
-            for outcome, count in zip(OUTCOMES, tally):
-                counts[outcome] += count
-            won = batch.codes == _CODE[CampaignOutcome.SUCCESS]
-            # in trial order, so the sums below add the same floats in the
-            # same order as the per-trial loop
-            success_deltas.extend(batch.final_delta_db[won].tolist())
-            attack_powers.extend(batch.attack_power_dbm[won].tolist())
-            if on_batch is not None:
-                on_batch(batch)
-    else:
-        for trial_seed in seeds:
-            state = new_attenuator(klass, profile, setpoint_db, seed=trial_seed)
-            result = run_campaign(config, state, link, laser)
-            counts[result.outcome] += 1
-            if result.outcome is CampaignOutcome.SUCCESS:
-                success_deltas.append(result.final_delta_db)
-                attack_powers.append(result.attack_power_dbm)
-            on_result(result)
+    for batch in _batched_trials(config, klass, profile, setpoint_db, seeds, link, laser):
+        tally = np.bincount(batch.codes, minlength=len(OUTCOMES)).tolist()
+        for outcome, count in zip(OUTCOMES, tally):
+            counts[outcome] += count
+        won = batch.codes == _CODE[CampaignOutcome.SUCCESS]
+        # in trial order, so the sums below add the same floats in the same
+        # order as a loop over run_campaign's results would
+        success_deltas.extend(batch.final_delta_db[won].tolist())
+        attack_powers.extend(batch.attack_power_dbm[won].tolist())
+        if on_batch is not None:
+            on_batch(batch)
 
     return MonteCarloSummary(
         n_trials=n_trials,

@@ -14,14 +14,13 @@ written, 2 flag validation, 3 config schema violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
 import operator
 import os
 import sys
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from . import fiber
 from .attenuators import (
@@ -53,69 +52,14 @@ CONFIG_ENV_VAR = "QLA_CONFIG"
 
 
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
-# Exact types the C encoder writes as one token, the same as the stdlib does
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-@functools.cache
-def _flat_encoder(level: int):
-    """C encoder for a container of scalars nested `level` deep.
-
-    Its item separator carries the newline and indent that indent mode puts
-    between items, so only the brackets need re-spacing.
-    """
-    return c_make_encoder(
-        None,  # no circular-reference markers: documents here are trees
-        json.JSONEncoder().default,
-        encode_basestring_ascii,
-        None,
-        ": ",
-        ",\n" + _INDENT * (level + 1),
-        True,  # sort_keys
-        False,  # skipkeys
-        False,  # allow_nan
-    )
-
-
-def _encode(obj, level: int, emit) -> None:
-    """Emit `obj` nested `level` deep, as indent-2 sorted strict JSON."""
-    if not isinstance(obj, _CONTAINERS):
-        emit("".join(_flat_encoder(level)(obj, level)))
-        return
-    is_dict = isinstance(obj, dict)
-    opening, closing = "{}" if is_dict else "[]"
-    if not obj:
-        emit(opening + closing)
-        return
-    inner = "\n" + _INDENT * (level + 1)
-    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        flat = "".join(_flat_encoder(level)(obj, level))
-        emit(opening + inner + flat[1:-1] + "\n" + _INDENT * level + closing)
-        return
-    if is_dict:
-        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
-    else:
-        items = [("", v) for v in obj]
-    sep = opening + inner
-    for prefix, value in items:
-        emit(sep + prefix)
-        _encode(value, level + 1, emit)
-        sep = "," + inner
-    emit("\n" + _INDENT * level + closing)
 
 
 def _json(obj, level: int = 0) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`, byte for
-    byte, for a tree of dicts (string keys), lists and scalars, with every
-    line after the first indented `level` deep.
-
-    The stdlib writes indented JSON with its pure-Python encoder; this one
-    hands each container of scalars to the C encoder instead.
-    """
-    chunks: list[str] = []
-    _encode(obj, level, chunks.append)
-    return "".join(chunks)
+    """Indent-2 sorted strict JSON of `obj`, with every line after the first
+    indented `level` deep. A newline inside a string is written escaped, so
+    every newline in the text is a line break."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    return text.replace("\n", "\n" + _INDENT * level) if level else text
 
 
 def _template(obj, level: int, fields: dict[str, str]) -> str:
@@ -325,9 +269,12 @@ def _cmd_campaign(args, out) -> int:
     # only each trial's text is kept, after the separator that precedes it in
     # "trials".
     trials: list[str] = []
-    render = _trial_renderer(config, klass, setpoint)
+    render = None
 
     def keep(batch) -> None:
+        nonlocal render
+        if render is None:  # after the first batch's specimens checked the setpoint
+            render = _trial_renderer(config, klass, setpoint)
         for text in render(batch):
             trials.append(",\n    " if trials else "\n    ")
             trials.append(text)

@@ -382,6 +382,23 @@ class TestProfiles:
         with pytest.raises(ValueError, match=f"{name} must not be NaN"):
             dataclasses.replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], **{name: math.nan})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (f.name, value)
+            for f in dataclasses.fields(DamageProfile)
+            for value in [None, "abc", True, False, [1.0], {}]
+            # a null threshold means none within reach
+            if not (value is None and f.name.endswith("threshold_dbm"))
+        ],
+    )
+    def test_field_that_is_not_a_number_rejected(self, name, value):
+        base = DEFAULT_PROFILES[AttenuatorClass.MANUAL_VOA]
+        with pytest.raises(ProfileConfigError, match=f"{name} must be a number"):
+            profile_from_dict(base, {name: value})
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            dataclasses.replace(base, **{name: value})
+
     def test_whole_numbers_held_as_floats(self):
         # a JSON config writes 60.0 as 60; both engines must then write 60.0
         profile = profile_from_dict(

@@ -7,10 +7,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from attenattack import _lazy_module, cli
+from attenattack.attenuators import SETPOINT_RANGES, AttenuatorClass
 from attenattack.campaign import DEFAULT_LINK, monte_carlo
 from attenattack.impact import impact_report
 from attenattack.risk import RiskQuery
@@ -20,6 +22,17 @@ def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "attenattack", *args]
     # a hang fails the test instead of stalling the suite
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_in_process(*argv):
+    """(exit code, stdout, stderr) of cli.main(argv), run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # flag validation
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestThresholds:
@@ -107,6 +120,20 @@ class TestCampaign:
         assert cp.stdout == ""
         assert "must not be NaN" in cp.stderr
 
+    @pytest.mark.parametrize("value", ["null", '"abc"', "true"])
+    @pytest.mark.parametrize("klass", [c.value for c in AttenuatorClass])
+    def test_profile_field_that_is_not_a_number_exits_3(self, tmp_path: Path, klass, value):
+        # fixed, MEMS and VDMC once ended in a TypeError traceback; manual-voa
+        # never reads the field and ran on
+        cfg = tmp_path / "typed.json"
+        cfg.write_text('{"profiles": {"%s": {"success_delta_db_mean": %s}}}' % (klass, value))
+        code, out, err = run_in_process(
+            "campaign", "--class", klass, "--trials", "3", "--config", str(cfg)
+        )
+        assert code == 3
+        assert out == ""
+        assert "success_delta_db_mean must be a number" in err
+
     @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
     def test_fixed_profile_that_can_draw_no_drop_exits_2(self, tmp_path: Path, seed):
         cfg = tmp_path / "shallow.json"
@@ -156,6 +183,36 @@ class TestCampaign:
             assert cp.stdout == ""
         else:
             assert json.loads(cp.stdout)["summary"]["n_trials"] == 3
+
+    @pytest.mark.parametrize("trials", [("1",), ("5",), ("5", "--per-trial")])
+    @pytest.mark.parametrize("setpoint", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("klass", [c.value for c in AttenuatorClass])
+    def test_non_finite_setpoint_exits_2_naming_its_range(self, klass, setpoint, trials):
+        # a multi-trial run once wrote the setpoint into its trial template
+        # before any specimen checked it, and failed on the JSON instead
+        code, out, err = run_in_process(
+            "campaign", "--class", klass, f"--setpoint-db={setpoint}", "--trials", *trials
+        )
+        lo, hi = SETPOINT_RANGES[AttenuatorClass(klass)]
+        assert code == 2
+        assert out == ""
+        assert f"setting {setpoint} dB out of range [{lo}, {hi}]" in err
+
+    @pytest.mark.parametrize("per_trial", [False, True])
+    def test_trial_renderer_built_only_for_per_trial(self, per_trial):
+        renderer = patch.object(cli, "_trial_renderer", wraps=cli._trial_renderer)
+        writer = patch.object(cli, "_json", wraps=cli._json)
+        with renderer as render, writer as write:
+            # 300 trials make two batches
+            code, out, _ = run_in_process(
+                "campaign", "--class", "fixed", "--trials", "300",
+                *(["--per-trial"] if per_trial else []),
+            )
+        assert code == 0
+        assert json.loads(out)["summary"]["n_trials"] == 300
+        assert render.call_count == per_trial
+        if not per_trial:
+            assert write.call_count == 1
 
     def test_config_env_fallback(self, tmp_path: Path):
         import os

@@ -1,23 +1,28 @@
-"""Fuzz the flags of the analysis subcommands, in-process through cli.main.
+"""Fuzz the flags of every subcommand and every `--config` profile field,
+in-process through cli.main.
 
-Every flag value is drawn from the edges of the float and int ranges (±inf,
-NaN, ±1e308, denormals, 0, ±3100, whole numbers up to 10**20) and from
-ordinary values. Whatever the input, a run must exit 0, 2 or 3 without any
-other exception, and a run that succeeds must write strict JSON, or CSV with
-the requested number of rows, every value finite.
+Every value is drawn from the edges of the float and int ranges (±inf, NaN,
+±1e308, denormals, 0, ±3100, whole numbers up to 10**20) and from ordinary
+values; a profile field may also be null, a string or `true`. Whatever the
+input, a run must exit 0, 2 or 3 without any other exception, and a run that
+succeeds must write strict JSON, with the requested number of trials, or CSV
+with the requested number of rows, every value finite.
 
 Size flags (`--points`, `--population`) draw only small or far out-of-range
-whole numbers, so that each case takes milliseconds.
+whole numbers, and `--trials` at most 5, so that each case takes milliseconds.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from attenattack import cli
+from attenattack.attenuators import AttenuatorClass, DamageProfile
 from attenattack.fiber import MAX_CURVE_POINTS
 from attenattack.risk import MAX_POPULATION
 
@@ -113,3 +118,77 @@ def test_risk_flags(argv):
     code, out = run(["risk", *argv])
     if code == 0:
         strict_json(out)
+
+
+CLASSES = [c.value for c in AttenuatorClass]
+CAMPAIGN_FLAGS = [
+    "--setpoint-db", "--start-dbm", "--step-dbm", "--max-dbm", "--dwell-s", "--cooldown-s",
+    "--length-km", "--fuse-threshold-w",
+]
+# At most 5 trials, and some counts no campaign may have.
+TRIALS = st.integers(-1, 5)
+SWITCHES = st.lists(st.sampled_from(["--per-trial", "--connectorized"]), unique=True)
+
+
+def assert_campaign_document(out: str, trials: int, per_trial: bool) -> None:
+    doc = strict_json(out)
+    if trials == 1:
+        assert doc["steps"], out
+        return
+    assert doc["summary"]["n_trials"] == trials
+    assert len(doc.get("trials", [])) == (trials if per_trial else 0)
+
+
+@FUZZ
+@given(
+    st.sampled_from(CLASSES),
+    TRIALS,
+    SWITCHES,
+    flags(**dict.fromkeys(CAMPAIGN_FLAGS, VALUES), **{"--seed": WHOLE}),
+)
+def test_campaign_flags(klass, trials, switches, argv):
+    code, out = run(["campaign", "--class", klass, f"--trials={trials}", *switches, *argv])
+    if code == 0:
+        assert_campaign_document(out, trials, "--per-trial" in switches)
+
+
+# JSON values: the edges above as numbers, and values that are no number.
+FIELD_EDGES = [
+    math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 0, -0.0,
+    3100, -3100, 1e20, -1e20, 10**20, -(10**20),
+]
+NOT_NUMBERS = [None, "abc", True]
+FIELD_VALUES = st.one_of(
+    st.sampled_from(FIELD_EDGES), st.sampled_from(NOT_NUMBERS), st.floats(-50, 50), st.floats()
+)
+PROFILE_FIELDS = [f.name for f in dataclasses.fields(DamageProfile)]
+# A null threshold means none within reach; any other null is no number.
+NULLABLE = {"attack_threshold_dbm", "failure_threshold_dbm"}
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "profiles.json"
+
+
+@FUZZ
+@given(
+    klass=st.sampled_from(CLASSES),
+    trials=TRIALS,
+    switches=SWITCHES,
+    overrides=st.dictionaries(st.sampled_from(PROFILE_FIELDS), FIELD_VALUES, max_size=3),
+)
+def test_campaign_config_fields(config_path, klass, trials, switches, overrides):
+    # json.dumps writes inf and nan as the Infinity and NaN that json.load reads
+    config_path.write_text(json.dumps({"profiles": {klass: overrides}}))
+    code, out = run([
+        "campaign", "--class", klass, f"--trials={trials}", "--config", str(config_path),
+        *switches,
+    ])
+    if any(
+        isinstance(value, (bool, str)) or value is None and name not in NULLABLE
+        for name, value in overrides.items()
+    ):
+        assert code == 3, overrides
+    if code == 0:
+        assert_campaign_document(out, trials, "--per-trial" in switches)
