@@ -93,8 +93,9 @@ class DamageProfile:
             raise ValueError("success + failure probability must not exceed 1")
         if self.recovery_tau_s < 0:
             raise ValueError("recovery_tau_s must be >= 0")
-        if self.insertion_loss_floor_db < 0:
-            raise ValueError("insertion_loss_floor_db must be >= 0")
+        # an infinite floor makes every readout inf, so no drop can be measured
+        if not 0 <= self.insertion_loss_floor_db < math.inf:
+            raise ValueError("insertion_loss_floor_db must be finite and >= 0")
 
 
 # Calibrated per-class defaults (sample populations: 12 fixed, 13 MEMS,

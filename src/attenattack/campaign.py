@@ -45,6 +45,10 @@ SCHEMA_VERSION = 1
 # Most rungs a power ladder may hold; the default ladder has 30.
 MAX_RUNGS = 2000
 
+# Most trials a Monte Carlo run may hold. Every seed is drawn up front, so a
+# count far beyond it fails allocating them or runs for hours.
+MAX_TRIALS = 10**6
+
 # The injection link of a campaign given none: a 20 m patch fiber.
 DEFAULT_LINK = FiberLink(length_km=0.02)
 
@@ -367,9 +371,13 @@ def _batched_trials(
         # the readout before any exposure, the same for every specimen: they
         # share one class, profile and setpoint
         baseline = attenuation(specimens[0])
-        immediate, after, destroyed, events = readout(
-            specimens, baseline, p_w[:n_exposed], exposed_dbm, config
-        )
+        # A value past the float range becomes inf without a warning, as in
+        # run_campaign's float arithmetic; the readouts also compute values
+        # that only some trials keep.
+        with np.errstate(over="ignore"):
+            immediate, after, destroyed, events = readout(
+                specimens, baseline, p_w[:n_exposed], exposed_dbm, config
+            )
         # one column per rung
         immediate, after, events = (
             np.broadcast_to(a, (n, n_exposed)) for a in (immediate, after, events)
@@ -436,8 +444,8 @@ def monte_carlo(
     sees each batch of trials with their steps; no batch outlives its call
     here, so memory does not grow with `n_trials`.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
 
     counts = {o: 0 for o in CampaignOutcome}
     success_deltas: list[float] = []

@@ -190,9 +190,12 @@ def threshold_curve(
         raise ValueError(f"n_points must lie in [2, {MAX_CURVE_POINTS}], got {n_points}")
     log_lo = math.log10(l_min_km)
     log_hi = math.log10(l_max_km)
-    lengths = [
-        10.0 ** (log_lo + (log_hi - log_lo) * i / (n_points - 1)) for i in range(n_points)
-    ]
+    try:
+        lengths = [
+            10.0 ** (log_lo + (log_hi - log_lo) * i / (n_points - 1)) for i in range(n_points)
+        ]
+    except OverflowError:  # log10 rounds up near the float maximum
+        raise ValueError(f"l_max_km is too close to the float maximum, got {l_max_km}") from None
     alpha = link_template.alpha_per_km
     l_effs = [_effective_length_m(l_km, alpha) for l_km in lengths]
     return ThresholdCurve(

@@ -9,7 +9,11 @@ vulnerable. Denial-of-service outcomes count as non-compromised trials.
 from __future__ import annotations
 
 import enum
+import importlib.util
 import math
+import sys
+import threading
+import types
 from dataclasses import dataclass
 
 from . import _lazy_module
@@ -68,14 +72,57 @@ class RiskQuery:
             raise ValueError("vulnerable_fraction must lie in (0, 1)")
 
 
-# Bound from scipy.special on first use by _import_special: that import is
-# most of the package's import time, and only this module needs it.
+# Bound on first use by _import_special, from scipy's special-function ufunc
+# extension; only this module needs scipy.
 betainc = betaln = gammaln = None
 
 
 def _import_special() -> None:
+    """Bind the three ufuncs from `scipy.special._ufuncs`.
+
+    Importing the `scipy.special` package runs its `__init__`, which also
+    loads the array-API dispatch layer and every wrapper module, about
+    half of a `risk` run's time. Here a placeholder package stands in for
+    it while the extension loads, so that `__init__` never runs. The
+    extension stays in sys.modules, and a later `import scipy.special` runs
+    the real `__init__`, which takes it from there: both give the same
+    ufunc objects.
+
+    The plain import is used if the package is already loaded, if the
+    extension cannot give the names, or if another thread runs: that thread
+    could import scipy.special and get the placeholder, and no lock keeps it
+    out without deadlocking against one already inside that import.
+    """
     global betainc, betaln, gammaln
+    if "scipy.special" not in sys.modules and threading.active_count() == 1:
+        try:
+            betainc, betaln, gammaln = _load_ufuncs()
+            return
+        except ImportError:
+            pass
     from scipy.special import betainc, betaln, gammaln
+
+
+def _load_ufuncs():
+    """(betainc, betaln, gammaln) from the extension, with no package init."""
+    import scipy
+
+    spec = importlib.util.find_spec("scipy.special")
+    if spec is None or spec.submodule_search_locations is None:
+        raise ImportError("scipy.special is not a package")
+    placeholder = types.ModuleType("scipy.special")
+    placeholder.__path__ = list(spec.submodule_search_locations)
+    sys.modules["scipy.special"] = placeholder
+    try:
+        from scipy.special._ufuncs import betainc, betaln, gammaln
+    finally:
+        if sys.modules.get("scipy.special") is placeholder:
+            del sys.modules["scipy.special"]
+        # vars(), not getattr: scipy's module __getattr__ would import the
+        # real package
+        if vars(scipy).get("special") is placeholder:
+            del vars(scipy)["special"]
+    return betainc, betaln, gammaln
 
 
 def posterior(record: TestRecord, prior: Prior = Prior.JEFFREYS) -> tuple[float, float]:

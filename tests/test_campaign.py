@@ -255,9 +255,11 @@ class TestMonteCarlo:
         )
         assert monte_carlo(**args) == monte_carlo(**args)
 
-    def test_n_trials_validated(self):
-        with pytest.raises(ValueError):
-            monte_carlo(CampaignConfig(), AttenuatorClass.FIXED, n_trials=0)
+    @pytest.mark.parametrize("n_trials", [0, campaign.MAX_TRIALS + 1, 10**15, 10**30])
+    def test_n_trials_validated(self, n_trials):  # before any seed is drawn
+        with patch.object(campaign, "trial_seeds", side_effect=AssertionError("seeds drawn")):
+            with pytest.raises(ValueError, match=rf"\[1, {campaign.MAX_TRIALS}\]"):
+                monte_carlo(CampaignConfig(), AttenuatorClass.FIXED, n_trials=n_trials)
 
 
 BATCHED_CLASSES = [

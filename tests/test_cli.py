@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -6,12 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
-from attenattack import _lazy_module, cli
+from attenattack import _lazy_module, campaign, cli
 from attenattack.attenuators import SETPOINT_RANGES, AttenuatorClass
 from attenattack.campaign import DEFAULT_LINK, monte_carlo
 from attenattack.impact import impact_report
@@ -402,16 +404,63 @@ def test_defaults_come_from_the_library():
     assert risk_args.prior == RiskQuery.prior.value
 
 
-@pytest.mark.parametrize("trials", [("--trials", "1"), ("--trials", "3", "--per-trial")])
-def test_non_finite_readout_exits_2(tmp_path: Path, trials):
-    # JSON config files may spell an infinite floor; every readout is then inf
+@pytest.mark.parametrize(
+    "mode", [("--trials", "1"), ("--trials", "3"), ("--trials", "3", "--per-trial")]
+)
+@pytest.mark.parametrize("klass", [c.value for c in AttenuatorClass])
+def test_infinite_floor_exits_3(tmp_path: Path, klass, mode):
+    # JSON config files may spell an infinite floor; every readout would be
+    # inf, and no drop could be measured
     cfg = tmp_path / "floor.json"
-    cfg.write_text('{"profiles": {"vdmc-voa": {"insertion_loss_floor_db": Infinity}}}')
+    cfg.write_text('{"profiles": {"%s": {"insertion_loss_floor_db": Infinity}}}' % klass)
     out = tmp_path / "out.json"
-    cp = run_cli("campaign", "--class", "vdmc-voa", *trials, "--config", str(cfg), "--out", str(out))
-    assert cp.returncode == 2, cp.stderr
-    assert "not JSON compliant" in cp.stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_in_process(
+            "campaign", "--class", klass, *mode, "--config", str(cfg), "--out", str(out)
+        )
+    assert code == 3, err
+    assert "insertion_loss_floor_db must be finite" in err
+    assert stdout == ""
     assert not out.exists()
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("mode", [("--trials", "300"), ("--trials", "300", "--per-trial")])
+@pytest.mark.parametrize(
+    "klass, overrides, flags",
+    [
+        # a drawn dip, or the dip it deepens to, past the float range
+        ("vdmc-voa", {"success_delta_db_mean": -1e308}, ()),
+        ("vdmc-voa", {"success_delta_db_mean": -1.7e308}, ()),
+        # exposure times summed past the float range
+        ("vdmc-voa", {}, ("--dwell-s", "1e308")),
+        # a thermal drop scaled past the float range
+        ("fixed", {"success_delta_db_mean": 1.5e308}, ()),
+    ],
+    ids=["vdmc-dip", "vdmc-deepened-dip", "vdmc-dwell", "fixed-drop"],
+)
+def test_batched_readout_overflows_without_warning(tmp_path: Path, klass, overrides, flags, mode):
+    # run_campaign's float arithmetic gives inf there without a warning, and
+    # the batched readouts also compute values that only some trials keep
+    cfg = tmp_path / "profile.json"
+    cfg.write_text(json.dumps({"profiles": {klass: overrides}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_in_process(
+            "campaign", "--class", klass, *mode, *flags, "--seed", "1", "--config", str(cfg)
+        )
+    assert code == 0, err
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("trials", [str(campaign.MAX_TRIALS + 1), "1000000000000000", str(10**30)])
+def test_trials_beyond_bound_exit_2_before_any_draw(trials):
+    with patch.object(campaign, "trial_seeds", side_effect=AssertionError("seeds drawn")):
+        code, out, err = run_in_process("campaign", "--class", "fixed", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert f"[1, {campaign.MAX_TRIALS}]" in err
 
 
 def per_trial_peak(path: Path, n_trials: int) -> int:
@@ -512,10 +561,148 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert "numpy._core" in sys.modules
     assert "scipy" not in sys.modules, "scipy imported before risk"
     main(["risk"])
-assert "scipy" in sys.modules
+# risk loads scipy's ufunc extension, not the scipy.special package, and
+# leaves no placeholder for the package behind
+import scipy
+assert "scipy.special._ufuncs" in sys.modules
+assert "scipy.special" not in sys.modules, "scipy.special package initialised"
+assert "scipy.special._support_alternative_backends" not in sys.modules
+assert "special" not in vars(scipy)
+import scipy.special
+from attenattack import risk
+assert scipy.special.gammaln is risk.gammaln
+assert scipy.special.betaln is risk.betaln
+assert scipy.special.betainc is risk.betainc
 """
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert cp.returncode == 0, cp.stderr
+
+
+def test_scipy_special_imported_by_another_thread_meanwhile():
+    # Threads wait at the ufunc extension's look-up, inside risk's load, and
+    # then import scipy.special, each in another way. No thread may get a
+    # placeholder package that lacks the ufuncs, and none may deadlock.
+    code = """
+import importlib, importlib.abc, sys, threading
+import scipy
+from attenattack import risk
+
+inside = threading.Event()
+got = []
+
+def importer(way):
+    inside.wait(30)
+    try:
+        if way == 0:
+            from scipy.special import gammaln
+        elif way == 1:
+            import scipy.special
+            gammaln = scipy.special.gammaln
+        else:
+            gammaln = importlib.import_module("scipy.special").gammaln
+        got.append(gammaln)
+    except BaseException as exc:
+        got.append(exc)
+
+class Meanwhile(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs":
+            inside.set()
+            # let the threads import now; one that waits on the package's
+            # module lock is still alive after the timeout
+            for t in workers:
+                t.join(0.2)
+        return None
+
+workers = [threading.Thread(target=importer, args=(i % 3,)) for i in range(6)]
+for t in workers:
+    t.start()
+sys.meta_path.insert(0, Meanwhile())
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    risk._import_special()
+finally:
+    sys.setswitchinterval(interval)
+for t in workers:
+    t.join(30)
+    assert not t.is_alive(), "an importer thread hangs"
+assert inside.is_set()
+assert got == [risk.gammaln] * len(workers), got
+"""
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr
+
+
+# The risk queries of the per-trial-analysis benchmark workload.
+RISK_QUERIES = [["risk"], ["risk", "--population", "100000", "--tested", "5"]]
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)
+
+# Before cli.main, a child may import scipy.special itself, so that risk
+# takes the plain import.
+PACKAGE_FIRST = "import scipy.special"
+# Or it may make every look-up of the ufunc extension under the placeholder
+# package fail, so that the direct load raises ImportError and risk falls
+# back to the plain import, which runs the package's own init.
+EXTENSION_FAILS = """
+import importlib.abc, sys
+import scipy
+from attenattack import risk
+
+class FailUnderPlaceholder(importlib.abc.MetaPathFinder):
+    failed = 0
+
+    def find_spec(self, name, path=None, target=None):
+        package = sys.modules.get("scipy.special")
+        if name == "scipy.special._ufuncs" and getattr(package, "__file__", None) is None:
+            FailUnderPlaceholder.failed += 1
+            raise ImportError("no ufunc extension")
+        return None
+
+sys.meta_path.insert(0, FailUnderPlaceholder())
+try:
+    risk._load_ufuncs()
+except ImportError:
+    pass
+else:
+    raise AssertionError("the direct load did not fail")
+assert "scipy.special" not in sys.modules, "placeholder left in sys.modules"
+assert "special" not in vars(scipy), "placeholder left in the scipy namespace"
+"""
+AFTER_FALLBACK = """
+assert FailUnderPlaceholder.failed == 2, "risk did not try the direct load"
+import scipy.special
+assert scipy.special.__file__, "scipy.special is not the real package"
+assert scipy.special.gammaln is risk.gammaln
+"""
+
+
+def risk_child(argv: list[str], before: str = "", after: str = "") -> bytes:
+    """Stdout of cli.main(argv) in a child that runs `before` first and
+    `after` last."""
+    code = f"""
+import contextlib, io, sys
+{before}
+from attenattack.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    assert main({argv!r}) == 0
+{after}
+sys.stdout.write(buf.getvalue())
+"""
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr.decode()
+    return cp.stdout
+
+
+@pytest.mark.parametrize("argv", RISK_QUERIES, ids=" ".join)
+def test_risk_bytes_do_not_depend_on_how_scipy_is_loaded(argv):
+    direct = risk_child(argv)
+    assert hashlib.sha256(direct).hexdigest() == GOLDEN[" ".join(argv)]
+    assert risk_child(argv, PACKAGE_FIRST) == direct
+    assert risk_child(argv, EXTENSION_FAILS, AFTER_FALLBACK) == direct
 
 
 def test_help_smoke():

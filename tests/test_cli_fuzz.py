@@ -6,7 +6,8 @@ Every value is drawn from the edges of the float and int ranges (±inf, NaN,
 values; a profile field may also be null, a string or `true`. Whatever the
 input, a run must exit 0, 2 or 3 without any other exception, and a run that
 succeeds must write strict JSON, with the requested number of trials, or CSV
-with the requested number of rows, every value finite.
+with the requested number of rows, every value finite, and raise no
+RuntimeWarning.
 
 Size flags (`--points`, `--population`) draw only small or far out-of-range
 whole numbers, and `--trials` at most 5, so that each case takes milliseconds.
@@ -17,6 +18,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,7 +64,12 @@ def flags(**values) -> st.SearchStrategy[list[str]]:
 
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse and flag validation
@@ -70,6 +77,9 @@ def run(argv: list[str]) -> tuple[int, str]:
     assert code in (0, 2, 3), (argv, code)
     if code != 0:
         assert out.getvalue() == "", argv
+    else:  # a numpy warning in a run that succeeds is a result of inf or nan
+        numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not numeric, (argv, numeric)
     return code, out.getvalue()
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -199,6 +200,11 @@ class TestThresholdCurve:
     def test_non_finite_or_negative_range_rejected(self, l_min, l_max):
         with pytest.raises(ValueError):
             threshold_curve(FiberLink(length_km=1.0), LaserSource(), l_min, l_max, 10)
+
+    def test_range_ending_at_the_float_maximum_rejected(self):
+        # 10 ** log10(l_max) rounds past the float maximum: a flag error, not a traceback
+        with pytest.raises(ValueError, match="float maximum"):
+            threshold_curve(FiberLink(length_km=1.0), LaserSource(), 0.01, sys.float_info.max, 200)
 
     @pytest.mark.parametrize(
         "l_min,alpha",
