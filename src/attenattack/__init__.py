@@ -4,8 +4,10 @@ Each export is imported from its module on first use (PEP 562), so
 `import attenattack` alone loads neither numpy nor scipy.
 """
 
+import functools
 import importlib
 import importlib.util
+import operator
 import sys
 
 _EXPORTS = {
@@ -88,6 +90,12 @@ def _lazy_module(name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _left_sum(values):
+    """The sum of `values` added left to right, as the built-in sum adds
+    floats before Python 3.12; from 3.12 it compensates, and its bits differ."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def __getattr__(name: str):

@@ -30,6 +30,9 @@ from .fiber import dbm_to_watts, watts_to_dbm
 
 np = _lazy_module("numpy")  # loaded on first use
 
+# Top of the widest control range, dB; no insertion-loss floor may exceed it.
+MAX_ATTENUATION_DB = 80.0
+
 
 class AttenuatorClass(enum.Enum):
     MANUAL_VOA = "manual-voa"
@@ -93,9 +96,12 @@ class DamageProfile:
             raise ValueError("success + failure probability must not exceed 1")
         if self.recovery_tau_s < 0:
             raise ValueError("recovery_tau_s must be >= 0")
-        # an infinite floor makes every readout inf, so no drop can be measured
-        if not 0 <= self.insertion_loss_floor_db < math.inf:
-            raise ValueError("insertion_loss_floor_db must be finite and >= 0")
+        # a floor above every setting hides every drop, and an infinite or
+        # near-max one makes readouts and their means overflow
+        if not 0 <= self.insertion_loss_floor_db <= MAX_ATTENUATION_DB:
+            raise ValueError(
+                f"insertion_loss_floor_db must be finite and in [0, {MAX_ATTENUATION_DB:g}] dB"
+            )
 
 
 # Calibrated per-class defaults (sample populations: 12 fixed, 13 MEMS,
@@ -147,10 +153,10 @@ MEMS_A_MAX = 34.0
 
 # Control ranges, dB of attenuation.
 SETPOINT_RANGES = {
-    AttenuatorClass.MANUAL_VOA: (1.5, 80.0),
+    AttenuatorClass.MANUAL_VOA: (1.5, MAX_ATTENUATION_DB),
     AttenuatorClass.FIXED: (25.0, 25.0),
     AttenuatorClass.MEMS_VOA: (MEMS_A_MIN, MEMS_A_MAX),
-    AttenuatorClass.VDMC_VOA: (0.0, 80.0),
+    AttenuatorClass.VDMC_VOA: (0.0, MAX_ATTENUATION_DB),
 }
 
 # Setpoint, dB, of a specimen built without one; the CLI echoes it.
@@ -250,14 +256,14 @@ class AttenuatorState:
     sampled_attack_threshold_dbm: float
     sampled_failure_threshold_dbm: float
     fate: Fate
+    # fixed: the thermal drop at the class-threshold power; MEMS: the
+    # permanent drop; both < 0
+    drop_db: float
+    failure_increase_db: float          # fixed: the rise of a blocked specimen
     thermal_offset_db: float = 0.0
     destroyed: bool = False
     blocked_db: float = 0.0
-    # Fixed-class draws
-    fixed_thermal_base_db: float = 0.0
-    fixed_failure_increase_db: float = 0.0
-    # MEMS-class draw, and the baseline attenuation at which band damage was written
-    mems_depth_db: float = 0.0
+    # MEMS: the baseline attenuation at which band damage was written
     mems_damaged_at_db: float | None = None
     # VDMC per-point exposure bookkeeping, keyed by setting in milli-dB
     vdmc_points: dict[int, VdmcPoint] = field(default_factory=dict)
@@ -275,6 +281,30 @@ def new_attenuator(
     seed: int = 0,
 ) -> AttenuatorState:
     """Instantiate a seeded attenuator specimen at the given setpoint."""
+    profile, setpoint_db = specimen_inputs(klass, profile, setpoint_db)
+    control = setpoint_db
+    if klass is AttenuatorClass.MEMS_VOA:
+        control = mems_attenuation_to_voltage(setpoint_db)
+    draws = _draws(klass, profile, seed)
+    return AttenuatorState(klass, profile, int(seed), float(setpoint_db), float(control), *draws)
+
+
+def specimen_batch(first: AttenuatorState, seeds: list[int]) -> AttenuatorState:
+    """Fresh specimens of first's class, profile and setpoint, one per seed,
+    as one state: its `seed` is the list of seeds, and its other drawn
+    fields, _draws's values, are (n, 1) columns."""
+    draws = zip(*(_draws(first.klass, first.profile, seed) for seed in seeds))
+    columns = (np.array(values)[:, None] for values in draws)
+    return AttenuatorState(
+        first.klass, first.profile, seeds, first.setpoint_db, first.control, *columns
+    )
+
+
+def specimen_inputs(
+    klass: AttenuatorClass, profile: DamageProfile | None, setpoint_db: float | None
+) -> tuple[DamageProfile, float]:
+    """(profile, setpoint_db) of a specimen, with the class defaults for
+    None; ValueError if no specimen may be built from them."""
     if profile is None:
         profile = DEFAULT_PROFILES[klass]
     if setpoint_db is None:
@@ -292,53 +322,36 @@ def new_attenuator(
             raise ValueError(
                 f"fixed attack_threshold_dbm {profile.attack_threshold_dbm} underflows to 0 W"
             )
+    return profile, setpoint_db
 
+
+def _draws(klass: AttenuatorClass, profile: DamageProfile, seed: int) -> tuple:
+    """A specimen's seeded values: its two sampled thresholds, fate, drop_db
+    and failure_increase_db, in AttenuatorState's field order."""
     rng = np.random.default_rng(seed)
-    if math.isfinite(profile.attack_threshold_dbm):
-        thr_a = profile.attack_threshold_dbm + rng.uniform(
-            -THRESHOLD_DISPERSION_DBM, THRESHOLD_DISPERSION_DBM
-        )
-        thr_f = profile.failure_threshold_dbm + rng.uniform(
-            -THRESHOLD_DISPERSION_DBM, THRESHOLD_DISPERSION_DBM
-        )
-        thr_f = max(thr_f, thr_a)
-    else:
+    d = THRESHOLD_DISPERSION_DBM
+    # drawn even where unused, so the draw sequence is the same for every class
+    thr_a = profile.attack_threshold_dbm + rng.uniform(-d, d)
+    thr_f = max(profile.failure_threshold_dbm + rng.uniform(-d, d), thr_a)
+    if not math.isfinite(profile.attack_threshold_dbm):
         thr_a = thr_f = math.inf
-        rng.uniform(-1, 1)  # keep the draw sequence fixed across classes
-        rng.uniform(-1, 1)
     fate = _draw_fate(rng.random(), profile)
 
-    state = AttenuatorState(
-        klass=klass,
-        profile=profile,
-        seed=int(seed),
-        setpoint_db=float(setpoint_db),
-        control=float(setpoint_db),
-        sampled_attack_threshold_dbm=thr_a,
-        sampled_failure_threshold_dbm=thr_f,
-        fate=fate,
-    )
-
+    drop_db = increase_db = 0.0
     if klass is AttenuatorClass.FIXED:
         if fate is Fate.SUCCESS:
             lo_db, hi_db = _fixed_drop_range(profile)
-            state.fixed_thermal_base_db = min(
-                max(
-                    rng.normal(abs(profile.success_delta_db_mean), profile.success_delta_db_spread),
-                    lo_db,
-                ),
-                hi_db,
-            )
+            mag_db = rng.normal(abs(profile.success_delta_db_mean), profile.success_delta_db_spread)
+            drop_db = -min(max(mag_db, lo_db), hi_db)
         else:
             # below-detection thermal response of non-susceptible samples
-            state.fixed_thermal_base_db = rng.uniform(0.1, 0.3)
-        state.fixed_failure_increase_db = rng.uniform(20.0, 35.0)
+            drop_db = -rng.uniform(0.1, 0.3)
+        increase_db = rng.uniform(20.0, 35.0)
     elif klass is AttenuatorClass.MEMS_VOA:
-        state.control = mems_attenuation_to_voltage(setpoint_db)
-        state.mems_depth_db = _truncated_normal_below(
+        drop_db = _truncated_normal_below(
             rng, profile.success_delta_db_mean, profile.success_delta_db_spread, -1.0
         )
-    return state
+    return thr_a, thr_f, fate, drop_db, increase_db
 
 
 def _fixed_drop_range(profile: DamageProfile) -> tuple[float, float]:
@@ -410,7 +423,7 @@ def _mems_band_offset(state: AttenuatorState, baseline_db: float) -> float:
     a0_db = state.mems_damaged_at_db
     if a0_db is None:
         return 0.0
-    return state.mems_depth_db * _mems_band_weight(a0_db, baseline_db)
+    return state.drop_db * _mems_band_weight(a0_db, baseline_db)
 
 
 def _mems_band_weight(a0_db: float, baseline_db: float) -> float:
@@ -458,12 +471,11 @@ def _expose_fixed(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureO
     if new.fate is Fate.FAILURE and p_dbm >= new.sampled_failure_threshold_dbm:
         new.destroyed = True
         new.thermal_offset_db = 0.0
-        new.blocked_db = new.setpoint_db + new.fixed_failure_increase_db
-        return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, new.fixed_failure_increase_db)
+        new.blocked_db = new.setpoint_db + new.failure_increase_db
+        return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, new.failure_increase_db)
     if p_dbm >= new.sampled_attack_threshold_dbm:
-        drop = new.fixed_thermal_base_db * _fixed_heat_scale(new.profile, power_w)
-        new.thermal_offset_db = -drop
-        return ExposureOutcome(OutcomeKind.TEMPORARY_DROP, -drop)
+        new.thermal_offset_db = new.drop_db * _fixed_heat_scale(new.profile, power_w)
+        return ExposureOutcome(OutcomeKind.TEMPORARY_DROP, new.thermal_offset_db)
     return _NO_CHANGE
 
 
@@ -484,7 +496,7 @@ def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOu
         and p_dbm >= new.sampled_attack_threshold_dbm
     ):
         new.mems_damaged_at_db = baseline
-        return ExposureOutcome(OutcomeKind.PERMANENT_DROP, new.mems_depth_db)
+        return ExposureOutcome(OutcomeKind.PERMANENT_DROP, new.drop_db)
     return _NO_CHANGE
 
 
@@ -534,7 +546,7 @@ def _exposed_vdmc_point(
 
     if old.resistant:
         return point, _NO_CHANGE
-    point = _drawn_vdmc_point(new, key, point, optimal=p_dbm >= thr)
+    point = _drawn_vdmc_point(new, new.seed, key, point, optimal=p_dbm >= thr)
     if point.resistant:
         return point, _NO_CHANGE
     delta = _measured_vdmc_delta(new, point)
@@ -554,11 +566,12 @@ def _vdmc_deepened(depth_db, factor):
 
 
 def _drawn_vdmc_point(
-    state: AttenuatorState, key: int, point: VdmcPoint, optimal: bool
+    state: AttenuatorState, seed: int, key: int, point: VdmcPoint, optimal: bool
 ) -> VdmcPoint:
-    """`point` after its first exposure that clears the law: resistant, or
-    damaged with a dip. The draw is seeded per point, so it is made once."""
-    rng = np.random.default_rng([state.seed, abs(key), 0x5D])
+    """`point` of the specimen of `seed` after its first exposure that clears
+    the law: resistant, or damaged with a dip. The draw is seeded per point,
+    so it is made once. `state` gives the profile and control."""
+    rng = np.random.default_rng([seed, abs(key), 0x5D])
     profile = state.profile
     if not rng.random() < profile.success_probability:
         return point._replace(resistant=True)
@@ -622,8 +635,8 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
 
 
 # --- batched readouts -------------------------------------------------------
-# One function per class reads a batch of fresh specimens (one class, profile
-# and setpoint) at every exposed rung of a campaign's power ladder at once,
+# One function per class reads a batch of fresh specimens, as specimen_batch
+# builds it, at every exposed rung of a campaign's power ladder at once,
 # given `baseline`, their shared readout before any exposure. It returns
 # (immediate, after, destroyed, events), each broadcastable over (specimens,
 # rungs): at each rung the readout at shutoff, the readout after cool-down,
@@ -647,31 +660,22 @@ def _maximum(a, b):
     return np.where(b > a, b, a)
 
 
-def _column(specimens: list[AttenuatorState], name: str) -> np.ndarray:
-    """One field of every specimen, as an (n, 1) column."""
-    return np.array([getattr(s, name) for s in specimens])[:, None]
-
-
 def _manual_readout(specimens, baseline, p_w, p_dbm, config):
     return baseline, baseline, False, _NO_CHANGE_CODE
 
 
 def _fixed_readout(specimens, baseline, p_w, p_dbm, config):
-    first = specimens[0]
-    profile, setpoint = first.profile, first.setpoint_db
-    fate = _column(specimens, "fate")
-    destroyed = (fate == Fate.FAILURE) & (
-        p_dbm >= _column(specimens, "sampled_failure_threshold_dbm")
-    )
-    heated = ~destroyed & (p_dbm >= _column(specimens, "sampled_attack_threshold_dbm"))
+    profile, setpoint = specimens.profile, specimens.setpoint_db
+    failing = specimens.fate == Fate.FAILURE
+    destroyed = failing & (p_dbm >= specimens.sampled_failure_threshold_dbm)
+    heated = ~destroyed & (p_dbm >= specimens.sampled_attack_threshold_dbm)
     offset = 0.0
     if heated.any():
         scale = np.array([_fixed_heat_scale(profile, w) for w in p_w.tolist()])
-        drop = _column(specimens, "fixed_thermal_base_db") * scale
-        offset = np.where(heated, -drop, 0.0)
+        offset = np.where(heated, specimens.drop_db * scale, 0.0)
     cooled = _cooled_offset(offset, profile.recovery_tau_s, config.cooldown_s)
     floor = profile.insertion_loss_floor_db
-    blocked = setpoint + _column(specimens, "fixed_failure_increase_db")
+    blocked = setpoint + specimens.failure_increase_db
     immediate = np.where(destroyed, blocked, _maximum(setpoint + offset, floor))
     after = np.where(destroyed, blocked, _maximum(setpoint + cooled, floor))
     events = np.select(
@@ -683,20 +687,14 @@ def _fixed_readout(specimens, baseline, p_w, p_dbm, config):
 
 
 def _mems_readout(specimens, baseline, p_w, p_dbm, config):
-    first = specimens[0]
-    profile = first.profile
-    fate = _column(specimens, "fate")
-    destroyed = (fate == Fate.FAILURE) & (
-        p_dbm >= _column(specimens, "sampled_failure_threshold_dbm")
-    )
-    damaged = (fate == Fate.SUCCESS) & (
-        p_dbm >= _column(specimens, "sampled_attack_threshold_dbm")
-    )
+    failing = specimens.fate == Fate.FAILURE
+    destroyed = failing & (p_dbm >= specimens.sampled_failure_threshold_dbm)
+    damaged = (specimens.fate == Fate.SUCCESS) & (p_dbm >= specimens.sampled_attack_threshold_dbm)
     # damage is written at the setpoint's own level, the only one read here
-    level = mems_voltage_to_attenuation(first.control)
+    level = mems_voltage_to_attenuation(specimens.control)
     damaged_db = _maximum(
-        level + _column(specimens, "mems_depth_db") * _mems_band_weight(level, level),
-        profile.insertion_loss_floor_db,
+        level + specimens.drop_db * _mems_band_weight(level, level),
+        specimens.profile.insertion_loss_floor_db,
     )
     after = np.where(destroyed, MEMS_BLOCKED_DB, np.where(damaged, damaged_db, baseline))
     # the drop is reported on the first damaged rung only
@@ -715,12 +713,11 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
     # VdmcPoint fields are carried as arrays over the specimens and updated
     # as _exposed_vdmc_point updates them; a specimen draws its dip once, on
     # the rung where its point first clears the law.
-    first = specimens[0]
-    control = first.control
-    floor = first.profile.insertion_loss_floor_db
+    control = specimens.control
+    floor = specimens.profile.insertion_loss_floor_db
     key = _vdmc_key(control)
-    n = len(specimens)
-    thr = np.array([s.sampled_attack_threshold_dbm for s in specimens])
+    n = len(specimens.seed)
+    thr = specimens.sampled_attack_threshold_dbm[:, 0]
     tier_thr = [thr + off for off in VDMC_TIER_OFFSETS_DB]
     tier_times = [np.zeros(n) for _ in VDMC_TIER_TIMES_S]
     max_w = np.zeros(n)
@@ -755,7 +752,7 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
             drawn = np.zeros(n, dtype=bool)
             for i in np.flatnonzero(cleared & ~damaged & ~resistant).tolist():
                 point = _drawn_vdmc_point(
-                    specimens[i], key, VdmcPoint(setting_db=control), optimal=dbm >= thr[i]
+                    specimens, specimens.seed[i], key, VdmcPoint(control), optimal=dbm >= thr[i]
                 )
                 if point.resistant:
                     resistant[i] = True
@@ -769,7 +766,7 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
                 events[dropped, j] = _PERMANENT_DROP_CODE
         dip[:, j] = depth * weight
     # no exposure changes the thermal offset, so after equals immediate
-    after = _maximum(control + first.thermal_offset_db + dip, floor)
+    after = _maximum(control + specimens.thermal_offset_db + dip, floor)
     return after, after, False, events
 
 

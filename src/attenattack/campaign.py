@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
-from . import _lazy_module
+from . import _lazy_module, _left_sum
 from .fiber import (
     FiberLink,
     LaserSource,
@@ -35,6 +35,7 @@ from .attenuators import (
     attenuation,
     cool_down,
     new_attenuator,
+    specimen_batch,
 )
 from .impact import DEFAULT_FAILURE_THRESHOLD_DB, DEFAULT_SUCCESS_THRESHOLD_DB
 
@@ -353,30 +354,26 @@ def _batched_trials(
 
     Each trial's values and steps are those run_campaign gives its specimen.
     """
+    # One fresh specimen checks the inputs, then gives the readout before any
+    # exposure: the same for every specimen, as they share one class,
+    # profile and setpoint.
+    first = new_attenuator(klass, profile, setpoint_db)
+    baseline = attenuation(first)
+    rungs = list(_power_ladder(config, link, laser))
+    p_set, p_w, p_dbm, fuse = (np.array(column) for column in zip(*rungs))
+    fused = rungs[-1][3]  # only the last rung can trip the fuse
+    n_exposed = len(rungs) - fused
+    duration = np.where(fuse, 0.0, config.dwell_s)
     readout = BATCH_READOUT[klass]
-    rungs = None
     for lo in range(0, len(seeds), _BATCH_TRIALS):
-        batch_seeds = seeds[lo:lo + _BATCH_TRIALS]
-        specimens = [new_attenuator(klass, profile, setpoint_db, seed=s) for s in batch_seeds]
-        if rungs is None:  # after a draw, so a bad setpoint is reported first
-            rungs = list(_power_ladder(config, link, laser))
-            p_set = np.array([r[0] for r in rungs])
-            p_w = np.array([r[1] for r in rungs])
-            fused = rungs[-1][3]
-            n_exposed = len(rungs) - fused
-            duration = np.full(len(rungs), config.dwell_s)
-            duration[n_exposed:] = 0.0
-            exposed_dbm = np.array([r[2] for r in rungs[:n_exposed]])
-        n = len(specimens)
-        # the readout before any exposure, the same for every specimen: they
-        # share one class, profile and setpoint
-        baseline = attenuation(specimens[0])
+        specimens = specimen_batch(first, seeds[lo:lo + _BATCH_TRIALS])
+        n = len(specimens.seed)
         # A value past the float range becomes inf without a warning, as in
         # run_campaign's float arithmetic; the readouts also compute values
         # that only some trials keep.
         with np.errstate(over="ignore"):
             immediate, after, destroyed, events = readout(
-                specimens, baseline, p_w[:n_exposed], exposed_dbm, config
+                specimens, baseline, p_w[:n_exposed], p_dbm[:n_exposed], config
             )
         # one column per rung
         immediate, after, events = (
@@ -411,7 +408,7 @@ def _batched_trials(
             _CODE[CampaignOutcome.FIBER_FUSE_DOS if fused else CampaignOutcome.INCONCLUSIVE],
         )
         yield TrialBatch(
-            seeds=batch_seeds,
+            seeds=specimens.seed,
             codes=codes,
             final_delta_db=np.where(won, delta_eval[rows, k], delta_post[rows, k]),
             attack_power_dbm=p_set[k],
@@ -470,9 +467,9 @@ def monte_carlo(
         inconclusive_rate=counts[CampaignOutcome.INCONCLUSIVE] / n_trials,
         fiber_fuse_rate=counts[CampaignOutcome.FIBER_FUSE_DOS] / n_trials,
         mean_success_delta_db=(
-            sum(success_deltas) / len(success_deltas) if success_deltas else None
+            _left_sum(success_deltas) / len(success_deltas) if success_deltas else None
         ),
         mean_attack_threshold_dbm=(
-            sum(attack_powers) / len(attack_powers) if attack_powers else None
+            _left_sum(attack_powers) / len(attack_powers) if attack_powers else None
         ),
     )

@@ -25,10 +25,10 @@ from json.encoder import encode_basestring_ascii
 from . import fiber
 from .attenuators import (
     AttenuatorClass,
-    DEFAULT_SETPOINTS,
     ProfileConfigError,
     load_profiles,
     new_attenuator,
+    specimen_inputs,
 )
 from .campaign import (
     DEFAULT_LINK,
@@ -245,8 +245,6 @@ def _cmd_campaign(args, out) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
 
-    setpoint = DEFAULT_SETPOINTS[klass] if args.setpoint_db is None else args.setpoint_db
-
     config = CampaignConfig(
         start_power_dbm=args.start_dbm,
         step_dbm=args.step_dbm,
@@ -258,6 +256,8 @@ def _cmd_campaign(args, out) -> int:
     )
     link = fiber.FiberLink(length_km=args.length_km)
     laser = fiber.LaserSource()
+    # checked before a --per-trial run writes the setpoint into its template
+    profile, setpoint = specimen_inputs(klass, profile, args.setpoint_db)
 
     if args.trials == 1:
         state = new_attenuator(klass, profile, setpoint, seed=trial_seeds(args.seed, 1)[0])
@@ -269,12 +269,9 @@ def _cmd_campaign(args, out) -> int:
     # only each trial's text is kept, after the separator that precedes it in
     # "trials".
     trials: list[str] = []
-    render = None
+    render = _trial_renderer(config, klass, setpoint) if args.per_trial else None
 
     def keep(batch) -> None:
-        nonlocal render
-        if render is None:  # after the first batch's specimens checked the setpoint
-            render = _trial_renderer(config, klass, setpoint)
         for text in render(batch):
             trials.append(",\n    " if trials else "\n    ")
             trials.append(text)

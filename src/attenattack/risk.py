@@ -16,7 +16,7 @@ import threading
 import types
 from dataclasses import dataclass
 
-from . import _lazy_module
+from . import _lazy_module, _left_sum
 
 np = _lazy_module("numpy")  # loaded on first use
 
@@ -167,7 +167,7 @@ def prob_fraction_vulnerable_exceeds(query: RiskQuery) -> float:
     log_pmf = _log_pmf(np.arange(threshold + 1, m + 1), m, alpha, beta)
     # math.exp and a left-to-right float sum, term by term: the same bits as
     # summing beta_binomial_pmf over k, which np.exp/np.sum would not give
-    return float(sum(map(math.exp, log_pmf.tolist())))
+    return float(_left_sum(map(math.exp, log_pmf.tolist())))
 
 
 def prob_exceeds_infinite_population(query: RiskQuery) -> float:

@@ -409,6 +409,19 @@ class TestProfiles:
         assert type(profile.success_probability) is float
         assert attenuation(new_attenuator(AttenuatorClass.VDMC_VOA, profile)) == 60.0
 
+    @pytest.mark.parametrize("floor", [-0.5, 80.5, 1e308, math.inf])
+    def test_floor_outside_control_ranges_rejected(self, floor):
+        vdmc = DEFAULT_PROFILES[AttenuatorClass.VDMC_VOA]
+        message = r"insertion_loss_floor_db must be finite and in \[0, 80\] dB"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(vdmc, insertion_loss_floor_db=floor)
+
+    @pytest.mark.parametrize("floor", [0.0, 80.0])
+    def test_floor_at_the_ends_of_its_range_accepted(self, floor):
+        vdmc = DEFAULT_PROFILES[AttenuatorClass.VDMC_VOA]
+        profile = dataclasses.replace(vdmc, insertion_loss_floor_db=floor)
+        assert attenuation(new_attenuator(AttenuatorClass.VDMC_VOA, profile)) == max(53.0, floor)
+
     def test_whole_number_beyond_float_range_rejected(self):
         with pytest.raises(ProfileConfigError, match="failure_threshold_dbm is beyond the float"):
             profile_from_dict(

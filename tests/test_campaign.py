@@ -1,20 +1,23 @@
 import re
+import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attenattack import attenuators, campaign, cli
+from attenattack import _left_sum, attenuators, campaign, cli
 from attenattack.attenuators import (
     DEFAULT_PROFILES,
     DEFAULT_SETPOINTS,
     SETPOINT_RANGES,
     AttenuatorClass,
+    AttenuatorState,
     Fate,
     new_attenuator,
+    specimen_batch,
 )
 from attenattack.campaign import (
     CampaignConfig,
@@ -193,7 +196,7 @@ class TestFuse:
 def summary_of(results):
     """The MonteCarloSummary of run_campaign's results, taken as monte_carlo
     takes it: the rate of each outcome, and each mean as sum / len in trial
-    order."""
+    order, added left to right."""
     n = len(results)
     outcomes = [r.outcome for r in results]
     won = [r for r in results if r.outcome is CampaignOutcome.SUCCESS]
@@ -205,9 +208,16 @@ def summary_of(results):
         critical_failure_rate=outcomes.count(CampaignOutcome.CRITICAL_FAILURE) / n,
         inconclusive_rate=outcomes.count(CampaignOutcome.INCONCLUSIVE) / n,
         fiber_fuse_rate=outcomes.count(CampaignOutcome.FIBER_FUSE_DOS) / n,
-        mean_success_delta_db=sum(deltas) / len(deltas) if deltas else None,
-        mean_attack_threshold_dbm=sum(powers) / len(powers) if powers else None,
+        mean_success_delta_db=_left_sum(deltas) / len(deltas) if deltas else None,
+        mean_attack_threshold_dbm=_left_sum(powers) / len(powers) if powers else None,
     )
+
+
+def test_left_sum_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum, as the built-in
+    # sum is from Python 3.12, would give 1.0
+    assert _left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _left_sum([]) == 0
 
 
 class TestMonteCarlo:
@@ -512,6 +522,46 @@ def test_batched_vdmc_adds_each_dwell():
     config = CampaignConfig(start_power_dbm=22.0, dwell_s=200 / 12)
     with patch.object(attenuators, "VDMC_TIER_OFFSETS_DB", (-8.0, 50.0, 50.0)):
         assert_engines_agree((VDMC, VDMC_PROFILE, 53.0, config, LINK_20M), 11, 20, 7)
+
+
+def same_bits(a, b) -> bool:
+    """a and b are the same float, bit for bit, or else equal."""
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    klass=st.sampled_from(AttenuatorClass),
+    # seeds below 2**32 seed numpy from one word of entropy, larger ones from two
+    seeds=st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+)
+def test_specimen_batch_columns_are_new_attenuator_fields(klass, seeds):
+    first = new_attenuator(klass)
+    batch = specimen_batch(first, seeds)
+    assert batch.seed == seeds
+    for i, seed in enumerate(seeds):
+        single = new_attenuator(klass, seed=seed)
+        for f in fields(AttenuatorState):
+            value = getattr(batch, f.name)
+            if f.name == "seed":
+                value = value[i]
+            elif isinstance(value, np.ndarray):
+                assert value.shape == (len(seeds), 1)
+                value = value.tolist()[i][0]
+            assert same_bits(value, getattr(single, f.name)), f.name
+
+
+@pytest.mark.parametrize("n_trials", [1, 256, 600])
+@pytest.mark.parametrize("klass", list(AttenuatorClass))
+def test_monte_carlo_checks_its_inputs_once(klass, n_trials):
+    checks = patch.object(attenuators, "specimen_inputs", wraps=attenuators.specimen_inputs)
+    builds = patch.object(campaign, "new_attenuator", wraps=campaign.new_attenuator)
+    with checks as check, builds as build:
+        monte_carlo(CampaignConfig(), klass, n_trials=n_trials, seed=5)
+    assert check.call_count == 1
+    assert build.call_count <= 1
 
 
 def batched_peak_growth(klass):

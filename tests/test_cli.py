@@ -408,11 +408,14 @@ def test_defaults_come_from_the_library():
     "mode", [("--trials", "1"), ("--trials", "3"), ("--trials", "3", "--per-trial")]
 )
 @pytest.mark.parametrize("klass", [c.value for c in AttenuatorClass])
-def test_infinite_floor_exits_3(tmp_path: Path, klass, mode):
+@pytest.mark.parametrize("floor", ["Infinity", "1e308", "80.5"])
+def test_infinite_floor_exits_3(tmp_path: Path, klass, mode, floor):
     # JSON config files may spell an infinite floor; every readout would be
-    # inf, and no drop could be measured
+    # inf, and no drop could be measured. A finite floor of 1e308 once ran:
+    # one trial reported a -1e308 dB drop, and the mean of several
+    # overflowed. No floor may lie above the widest control range, 80 dB.
     cfg = tmp_path / "floor.json"
-    cfg.write_text('{"profiles": {"%s": {"insertion_loss_floor_db": Infinity}}}' % klass)
+    cfg.write_text('{"profiles": {"%s": {"insertion_loss_floor_db": %s}}}' % (klass, floor))
     out = tmp_path / "out.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
+from attenattack import _left_sum
 from attenattack.risk import (
     Prior,
     RiskQuery,
@@ -101,7 +102,8 @@ class TestProbExceeds:
         alpha, beta = posterior(record, prior)
         m = population - record.n_tested
         threshold = math.floor(fraction * m)
-        expected = sum(beta_binomial_pmf(k, m, alpha, beta) for k in range(threshold + 1, m + 1))
+        pmf = (beta_binomial_pmf(k, m, alpha, beta) for k in range(threshold + 1, m + 1))
+        expected = _left_sum(pmf)
         assert prob_fraction_vulnerable_exceeds(q) == expected
 
     def test_current_record(self):

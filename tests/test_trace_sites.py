@@ -3,11 +3,15 @@
 perfbench/trace.py replaces each (owner, attribute) in its SITES list with a
 timing wrapper, looking the attribute up with `vars(owner)[attr]`. A
 refactor that renames, moves or inlines one of them breaks `--trace 1` with
-a KeyError; this test makes that a tier-1 failure instead.
+a KeyError; this test makes that a tier-1 failure instead. A site a module
+only imports, and no longer calls, would time nothing; that fails too.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
+import types
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,3 +38,23 @@ def test_every_trace_site_exists():
         if attr not in vars(owner)
     ]
     assert not missing
+
+
+def test_every_imported_trace_site_is_read_by_its_module():
+    # A name a module imports from elsewhere is wrapped there so that its
+    # calls from that module's own code are timed; an import kept only for
+    # the trace would show a layer that no longer runs as idle.
+    unread = []
+    for owner, attr in load_sites():
+        if not isinstance(owner, types.ModuleType):
+            continue
+        if getattr(vars(owner)[attr], "__module__", None) == owner.__name__:
+            continue  # defined in the module itself
+        read = {
+            node.id
+            for node in ast.walk(ast.parse(inspect.getsource(owner)))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if attr not in read:
+            unread.append(f"{owner.__name__}.{attr}")
+    assert not unread
