@@ -84,6 +84,10 @@ class DamageProfile:
                 object.__setattr__(self, name, value := float(value))
             if math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
+        # +inf (null in a config) means no threshold within reach; -inf
+        # would mean damage at any power, which no power ladder can measure
+        if self.attack_threshold_dbm == -math.inf:
+            raise ValueError("attack_threshold_dbm must not be -inf")
         if self.attack_threshold_dbm > self.failure_threshold_dbm:
             raise ValueError("attack threshold must not exceed failure threshold")
         if self.success_delta_db_spread < 0:
@@ -233,9 +237,6 @@ class VdmcPoint(NamedTuple):
     tier_times_s: tuple[float, ...] = (0.0, 0.0, 0.0)
     max_power_w: float = 0.0
     damaged: bool = False
-    # set when a cleared exposure drew this point as not vulnerable; the
-    # draw is seeded per point, so every later one would agree
-    resistant: bool = False
     deepen_count: int = 0
     depth_db: float = 0.0
     center_db: float = 0.0
@@ -544,10 +545,8 @@ def _exposed_vdmc_point(
             return deeper, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
         return deeper, _NO_CHANGE
 
-    if old.resistant:
-        return point, _NO_CHANGE
     point = _drawn_vdmc_point(new, new.seed, key, point, optimal=p_dbm >= thr)
-    if point.resistant:
+    if not point.damaged:
         return point, _NO_CHANGE
     delta = _measured_vdmc_delta(new, point)
     if delta >= 0:
@@ -568,13 +567,14 @@ def _vdmc_deepened(depth_db, factor):
 def _drawn_vdmc_point(
     state: AttenuatorState, seed: int, key: int, point: VdmcPoint, optimal: bool
 ) -> VdmcPoint:
-    """`point` of the specimen of `seed` after its first exposure that clears
-    the law: resistant, or damaged with a dip. The draw is seeded per point,
-    so it is made once. `state` gives the profile and control."""
+    """`point` of the specimen of `seed` after an exposure that clears the
+    law: unchanged if the point is not vulnerable, else damaged with a dip.
+    The draw is seeded per point, so every exposure draws the same.
+    `state` gives the profile and control."""
     rng = np.random.default_rng([seed, abs(key), 0x5D])
     profile = state.profile
     if not rng.random() < profile.success_probability:
-        return point._replace(resistant=True)
+        return point
     depth = _truncated_normal_below(
         rng, profile.success_delta_db_mean, profile.success_delta_db_spread, -1.0
     )
@@ -754,19 +754,19 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
                 point = _drawn_vdmc_point(
                     specimens, specimens.seed[i], key, VdmcPoint(control), optimal=dbm >= thr[i]
                 )
-                if point.resistant:
-                    resistant[i] = True
-                else:
+                if point.damaged:
                     damaged[i] = drawn[i] = True
                     depth[i] = point.depth_db
                     weight[i] = _vdmc_dip_weight(point, control)
+                else:
+                    resistant[i] = True
             if deepen.any() or drawn.any():
                 now = measured(depth)
                 dropped = (drawn & (now < 0)) | (deepen & (now - measured(shallower) < 0))
                 events[dropped, j] = _PERMANENT_DROP_CODE
         dip[:, j] = depth * weight
-    # no exposure changes the thermal offset, so after equals immediate
-    after = _maximum(control + specimens.thermal_offset_db + dip, floor)
+    # no exposure heats a VDMC, so after equals immediate
+    after = _maximum(control + dip, floor)
     return after, after, False, events
 
 
@@ -818,9 +818,9 @@ def load_profiles(path: str) -> dict[AttenuatorClass, DamageProfile]:
     vdmc-voa). Unlisted classes and fields keep their shipped defaults.
     """
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProfileConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("profiles", {}), dict):
         raise ProfileConfigError('config must be an object with a "profiles" map')

@@ -299,18 +299,19 @@ class TrialBatch(NamedTuple):
     """Consecutive trials of the batched engine, as arrays.
 
     Per trial: `seeds` (ints), the outcome code, final_delta_db,
-    attack_power_dbm (meaningful only on success), baseline_db and the rung
-    the campaign stopped on. Per rung: the CampaignStep fields that hold for
-    every trial. Per trial and rung: those that do not, with the event as its
-    code. A trial's steps are its rungs up to and including its stop rung;
-    later ones are not meaningful.
+    attack_power_dbm (meaningful only on success) and the rung the campaign
+    stopped on. `baseline_db` is the run's one readout before any exposure.
+    Per rung: the CampaignStep fields that hold for every trial. Per trial
+    and rung: the readouts after exposure and the event, as its code. A
+    trial's steps are its rungs up to and including its stop rung; later
+    ones are not meaningful.
     """
 
     seeds: list[int]
     codes: np.ndarray
     final_delta_db: np.ndarray
     attack_power_dbm: np.ndarray
-    baseline_db: np.ndarray
+    baseline_db: float
     stop: np.ndarray
     power_dbm_set: np.ndarray
     power_w_delivered: np.ndarray
@@ -318,27 +319,6 @@ class TrialBatch(NamedTuple):
     attenuation_immediate_db: np.ndarray
     attenuation_after_db: np.ndarray
     events: np.ndarray
-
-    # Derived only when read, so a summary-only run never builds them.
-    @property
-    def attenuation_before_db(self) -> np.ndarray:
-        """Each rung's readout before its exposure: the rung before's after."""
-        after = self.attenuation_after_db
-        before = np.empty(after.shape)
-        before[:, 0] = self.baseline_db
-        before[:, 1:] = after[:, :-1]
-        return before
-
-    @property
-    def delta_db(self) -> np.ndarray:
-        """after - before at each rung; 0.0 at a fuse rung, which holds both."""
-        return self.attenuation_after_db - self.attenuation_before_db
-
-    def logged(self, name: str) -> list:
-        """The per-trial-and-rung field `name` at every step, trial after
-        trial, as a list: a trial's steps are its rungs up to its stop."""
-        values = getattr(self, name)
-        return values[np.arange(values.shape[1]) <= self.stop[:, None]].tolist()
 
 
 def _batched_trials(
@@ -412,7 +392,7 @@ def _batched_trials(
             codes=codes,
             final_delta_db=np.where(won, delta_eval[rows, k], delta_post[rows, k]),
             attack_power_dbm=p_set[k],
-            baseline_db=np.broadcast_to(baseline, (n,)),
+            baseline_db=baseline,
             stop=k,
             power_dbm_set=p_set,
             power_w_delivered=p_w,

@@ -7,13 +7,15 @@ Subcommands:
   risk        -- Bayesian vulnerability prediction for untested systems, JSON
 
 stdout carries only the machine-readable artifact; human-oriented notes go
-to stderr. Exit codes: 0 ok, 1 stdout closed before the output was all
-written, 2 flag validation, 3 config schema violation.
+to stderr. Exit codes: 0 ok, 1 the output could not all be written (stdout
+closed early, or a failed write), 2 flag validation, 3 config schema
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -22,7 +24,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import fiber
+from . import _lazy_module, fiber
 from .attenuators import (
     AttenuatorClass,
     ProfileConfigError,
@@ -45,7 +47,9 @@ from .campaign import (
 from .impact import DEFAULT_MU0, impact_report
 from .risk import Prior, RiskQuery, TestRecord, risk_report
 
-EXIT_STDOUT_CLOSED = 1
+np = _lazy_module("numpy")  # loaded on first use
+
+EXIT_WRITE_FAILED = 1
 EXIT_CONFIG_ERROR = 3
 
 CONFIG_ENV_VAR = "QLA_CONFIG"
@@ -72,14 +76,19 @@ def _template(obj, level: int, fields: dict[str, str]) -> str:
 
 
 # The CampaignStep fields that differ from trial to trial at one rung, in
-# sorted order: the order of their %r fields in a step template.
-_STEP_READOUTS = (
-    "attenuation_after_db", "attenuation_before_db", "attenuation_immediate_db", "delta_db"
-)
+# sorted order, their order in a step template, with their format specs.
+_STEP_READOUTS = {
+    "attenuation_after_db": "%r",
+    "attenuation_before_db": "%r",
+    "attenuation_immediate_db": "%r",
+    "delta_db": "%r",
+    "event": "%s",
+}
 # What a trial's text holds between two of its steps.
 _STEP_SEPARATOR = ",\n" + _INDENT * 4
 _SUCCESS = OUTCOMES.index(CampaignOutcome.SUCCESS)
 _OUTCOME_JSON = [encode_basestring_ascii(outcome.value) for outcome in OUTCOMES]
+_EVENT_JSON = [encode_basestring_ascii(event) for event in STEP_EVENTS]
 
 
 def _require_finite(*columns: list[float]) -> None:
@@ -107,39 +116,41 @@ def _trial_renderer(config: CampaignConfig, klass: AttenuatorClass, setpoint_db:
         2,
         {"\0" + name: f"%({name})s" for name in (*trial_fields, "steps")},
     )
-    step_templates: dict[tuple[int, int], str] = {}  # by (event code, rung)
+    step_templates: list[str] = []  # by rung: the ladder is the same in every batch of a run
 
-    def step_template(batch: TrialBatch, event: int, rung: int) -> str:
+    def step_template(batch: TrialBatch, rung: int) -> str:
         step = {name: "\0" + name for name in _STEP_READOUTS}
-        step["event"] = STEP_EVENTS[event]
         for name in ("power_dbm_set", "power_w_delivered", "duration_s"):
             step[name] = getattr(batch, name)[rung].item()
-        return _template(step, 4, {"\0" + name: "%r" for name in _STEP_READOUTS})
+        return _template(step, 4, {"\0" + name: spec for name, spec in _STEP_READOUTS.items()})
 
     def render(batch: TrialBatch) -> list[str]:
-        readouts = [batch.logged(name) for name in _STEP_READOUTS]
         stops = batch.stop.tolist()
-        baselines = batch.baseline_db.tolist()
+        logged = np.arange(batch.events.shape[1]) <= batch.stop[:, None]
+        rungs = logged.nonzero()[1].tolist()
+        after, immediate, events = (
+            values[logged].tolist()
+            for values in (batch.attenuation_after_db, batch.attenuation_immediate_db, batch.events)
+        )
+        # a trial's first step starts from the baseline, each later one from
+        # the step before's after
+        before = [after[i - 1] if rung else batch.baseline_db for i, rung in enumerate(rungs)]
+        delta = list(map(operator.sub, after, before))
         final_deltas = batch.final_delta_db.tolist()
-        _require_finite(*readouts, baselines, final_deltas)
-        # the ladder is the same in every batch of a run
-        keys = list(zip(batch.logged("events"), (r for stop in stops for r in range(stop + 1))))
-        for key in set(keys).difference(step_templates):
-            step_templates[key] = step_template(batch, *key)
-        steps = list(map(operator.mod, map(step_templates.__getitem__, keys), zip(*readouts)))
+        _require_finite(after, immediate, before, delta, [batch.baseline_db], final_deltas)
+        for rung in range(len(step_templates), max(stops) + 1):
+            step_templates.append(step_template(batch, rung))
+        # in _STEP_READOUTS order
+        fills = zip(after, before, immediate, delta, map(_EVENT_JSON.__getitem__, events))
+        steps = list(map(operator.mod, map(step_templates.__getitem__, rungs), fills))
         texts, end = [], 0
-        for seed, code, power, baseline, final_delta, stop in zip(
-            batch.seeds,
-            batch.codes.tolist(),
-            batch.attack_power_dbm.tolist(),
-            baselines,
-            final_deltas,
-            stops,
+        for seed, code, power, final_delta, stop in zip(
+            batch.seeds, batch.codes.tolist(), batch.attack_power_dbm.tolist(), final_deltas, stops
         ):
             start, end = end, end + stop + 1
             texts.append(trial_template % {
                 "attack_power_dbm": repr(power) if code == _SUCCESS else "null",
-                "baseline_db": repr(baseline),
+                "baseline_db": repr(batch.baseline_db),
                 "final_delta_db": repr(final_delta),
                 "outcome": _OUTCOME_JSON[code],
                 "seed": repr(seed),
@@ -341,17 +352,24 @@ def main(argv: list[str] | None = None) -> int:
             parser.exit(2, f"{parser.prog}: error: cannot open --out {args.out}: {exc.strerror}\n")
     try:
         code = args.handler(args, out)
+        if out is not None:
+            out.close()  # flushes the file's last writes
         sys.stdout.flush()
     except ValueError as exc:  # a library input check: a flag validation error
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except BrokenPipeError:
-        # The reader closed stdout early (`| head`). Python flushes stdout
-        # again at exit, so point it at devnull for that flush to succeed.
+    except OSError as exc:
+        # A write failed, or the reader closed stdout early (`| head`), which
+        # it meant to. Python flushes stdout again at exit, so point it at
+        # devnull for that flush to succeed.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_STDOUT_CLOSED
+        if not isinstance(exc, BrokenPipeError):
+            print(f"{parser.prog}: error: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = EXIT_WRITE_FAILED
     finally:
         if out is not None:
-            out.close()
+            # after a failed write, close fails again but closes the file
+            with contextlib.suppress(OSError):
+                out.close()
             if code != 0 and created:
                 os.remove(args.out)
     return code

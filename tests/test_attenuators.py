@@ -165,7 +165,7 @@ class TestFixed:
             with pytest.raises(ValueError, match="success_delta_db_mean.*success_delta_db_spread"):
                 new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
 
-    @pytest.mark.parametrize("attack", [-4000.0, -1e308, -math.inf])
+    @pytest.mark.parametrize("attack", [-4000.0, -1e308])
     def test_profile_whose_threshold_underflows_rejected_for_every_seed(self, attack):
         # the thermal drop scales by power over the threshold's watts, here 0.0
         profile = dataclasses.replace(
@@ -415,6 +415,13 @@ class TestProfiles:
         message = r"insertion_loss_floor_db must be finite and in \[0, 80\] dB"
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(vdmc, insertion_loss_floor_db=floor)
+
+    @pytest.mark.parametrize("klass", list(AttenuatorClass))
+    def test_minus_infinite_attack_threshold_rejected(self, klass):
+        # only +inf means no threshold within reach; -inf once meant the same,
+        # though -1e308 means damage at any power
+        with pytest.raises(ValueError, match="attack_threshold_dbm must not be -inf"):
+            dataclasses.replace(DEFAULT_PROFILES[klass], attack_threshold_dbm=-math.inf)
 
     @pytest.mark.parametrize("floor", [0.0, 80.0])
     def test_floor_at_the_ends_of_its_range_accepted(self, floor):

@@ -13,6 +13,11 @@ from unittest.mock import patch
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from attenattack import _lazy_module, campaign, cli
 from attenattack.attenuators import SETPOINT_RANGES, AttenuatorClass
 from attenattack.campaign import DEFAULT_LINK, monte_carlo
@@ -110,6 +115,26 @@ class TestCampaign:
             assert cp.returncode == 3
             assert "config error" in cp.stderr
 
+    def test_config_that_is_not_utf8_exits_3(self, tmp_path: Path):
+        # once read as a flag error (exit 2), without the config error prefix
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"profiles": {"fixed": {"nope": "\u00e9"}}}'.encode("latin-1"))
+        cp = run_cli("campaign", "--class", "fixed", "--config", str(cfg))
+        assert cp.returncode == 3, cp.stderr
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("config error: invalid JSON")
+        assert cp.stderr.count("\n") == 1
+
+    def test_config_nested_too_deeply_exits_3(self, tmp_path: Path):
+        # once a RecursionError traceback
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000)
+        cp = run_cli("campaign", "--class", "fixed", "--config", str(cfg))
+        assert cp.returncode == 3, cp.stderr
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("config error: invalid JSON")
+        assert "Traceback" not in cp.stderr
+
     def test_nan_profile_override_rejected(self, tmp_path: Path):
         # json.load parses NaN; an override that compares false everywhere
         # would otherwise silently do nothing
@@ -149,9 +174,7 @@ class TestCampaign:
         assert "success_delta_db_mean" in cp.stderr
         assert "success_delta_db_spread" in cp.stderr
 
-    @pytest.mark.parametrize(
-        "attack, trials", [("-4000", "1"), ("-4000", "5"), ("-Infinity", "5")]
-    )
+    @pytest.mark.parametrize("attack, trials", [("-4000", "1"), ("-4000", "5")])
     def test_fixed_profile_whose_threshold_underflows_exits_2(self, tmp_path: Path, attack, trials):
         # the thermal drop scales by power over the threshold's watts, 0.0 here
         cfg = tmp_path / "underflow.json"
@@ -383,6 +406,55 @@ def test_stdout_closed_early_exits_1_without_traceback():
     assert b"Traceback" not in stderr, stderr.decode()
 
 
+# each writes more than the 8 KiB of limit_file_size: about 170 KB and 28 KB
+WRITERS = [
+    ("campaign", "--class", "mems-voa", "--trials", "20", "--per-trial"),
+    ("thresholds", "--points", "500"),
+]
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def assert_write_failed(cp: subprocess.CompletedProcess) -> None:
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("attenattack: error: cannot write output: ")
+    assert cp.stderr.count("\n") == 1, cp.stderr
+
+
+@DEV_FULL
+@pytest.mark.parametrize("args", WRITERS)
+def test_out_file_that_cannot_be_written_exits_1(args):
+    assert_write_failed(run_cli(*args, "--out", "/dev/full"))
+
+
+@DEV_FULL
+@pytest.mark.parametrize("args", WRITERS)
+def test_stdout_that_cannot_be_written_exits_1(args):
+    cmd = [sys.executable, "-m", "attenattack", *args]
+    with open("/dev/full", "w") as full:
+        cp = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert_write_failed(cp)
+
+
+def limit_file_size():
+    # 8 KiB; a write past it fails with EFBIG, as Python ignores SIGXFSZ
+    resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module")
+@pytest.mark.parametrize("args", WRITERS)
+def test_write_past_file_size_limit_leaves_no_out_file(tmp_path: Path, args):
+    # once left the part written before the limit: the second flush, on
+    # close, failed before the file was removed
+    out = tmp_path / "new.json"
+    cmd = [sys.executable, "-m", "attenattack", *args, "--out", str(out)]
+    cp = subprocess.run(
+        cmd, capture_output=True, text=True, timeout=60, preexec_fn=limit_file_size
+    )
+    assert_write_failed(cp)
+    assert cp.stdout == ""
+    assert not out.exists()
+
+
 def test_start_power_beyond_float_range_exits_2():
     cp = run_cli("campaign", "--class", "fixed", "--start-dbm", "1e6", "--max-dbm", "1e7")
     assert cp.returncode == 2
@@ -427,6 +499,25 @@ def test_infinite_floor_exits_3(tmp_path: Path, klass, mode, floor):
     assert stdout == ""
     assert not out.exists()
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "mode", [("--trials", "1"), ("--trials", "20"), ("--trials", "20", "--per-trial")]
+)
+@pytest.mark.parametrize("klass", [c.value for c in AttenuatorClass])
+def test_minus_infinite_attack_threshold_exits_3(tmp_path: Path, klass, mode):
+    # once read as "never damaged": every trial Inconclusive, and fixed
+    # exited 2, while -1e308 means damaged at every power
+    cfg = tmp_path / "threshold.json"
+    cfg.write_text('{"profiles": {"%s": {"attack_threshold_dbm": -Infinity}}}' % klass)
+    out = tmp_path / "out.json"
+    code, stdout, err = run_in_process(
+        "campaign", "--class", klass, *mode, "--config", str(cfg), "--out", str(out)
+    )
+    assert code == 3, err
+    assert "attack_threshold_dbm must not be -inf" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", [("--trials", "300"), ("--trials", "300", "--per-trial")])

@@ -2,10 +2,12 @@
 
 import json
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attenattack import campaign, cli
 from attenattack.attenuators import AttenuatorClass
 from attenattack.campaign import CampaignConfig, monte_carlo
 from attenattack.cli import _json, _trial_renderer
@@ -110,10 +112,14 @@ def test_trial_renderer_rejects_non_finite_step_value(bad, field, rung):
 @pytest.mark.parametrize("field", ["baseline_db", "final_delta_db"])
 def test_trial_renderer_rejects_non_finite_trial_value(field):
     batch = mems_batch()
-    values = getattr(batch, field).copy()
-    values[0] = math.inf
+    if field == "baseline_db":  # one float for the whole run
+        bad = batch._replace(baseline_db=math.inf)
+    else:
+        values = batch.final_delta_db.copy()
+        values[0] = math.inf
+        bad = batch._replace(final_delta_db=values)
     with pytest.raises(ValueError, match="not JSON compliant"):
-        render(batch._replace(**{field: values}))
+        render(bad)
 
 
 def test_trial_renderer_ignores_rungs_after_the_stop():
@@ -122,3 +128,22 @@ def test_trial_renderer_ignores_rungs_after_the_stop():
     for row, stop in enumerate(batch.stop.tolist()):
         after[row, stop + 1:] = math.nan
     assert render(batch._replace(attenuation_after_db=after)) == render(batch)
+
+
+def test_trial_renderer_builds_one_step_template_per_rung():
+    batches = []
+    with patch.object(campaign, "_BATCH_TRIALS", 7):
+        monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 60, 1, on_batch=batches.append)
+    events = {}  # by rung: the event codes its steps log, over every batch
+    for batch in batches:
+        for row, stop in enumerate(batch.stop.tolist()):
+            for rung in range(stop + 1):
+                events.setdefault(rung, set()).add(batch.events[row, rung].item())
+    assert len(batches) > 1
+    assert max(map(len, events.values())) > 1
+    with patch.object(cli, "_template", wraps=cli._template) as template:
+        render = _trial_renderer(CONFIG, AttenuatorClass.MEMS_VOA, 30.0)
+        for batch in batches:
+            render(batch)
+    # the trial template, then at most one step template per rung
+    assert template.call_count <= 1 + len(events)
