@@ -450,8 +450,9 @@ def apply_exposure(
 ) -> tuple[AttenuatorState, ExposureOutcome]:
     """Expose the attenuator to c.w. power for a duration; returns new state.
 
-    All randomness was pre-drawn at construction, so trajectories are fully
-    determined by (class, profile, setpoint, seed) and the exposure sequence.
+    Randomness is drawn from the seed at construction, or for a VDMC point's
+    dip at the exposure that first clears the law, so a trajectory is fixed
+    by (class, profile, setpoint, seed) and the exposure sequence.
     """
     if state.destroyed:
         raise ValueError("cannot expose a destroyed attenuator")
@@ -638,17 +639,16 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
 # One function per class reads a batch of fresh specimens, as specimen_batch
 # builds it, at every exposed rung of a campaign's power ladder at once,
 # given `baseline`, their shared readout before any exposure. It returns
-# (immediate, after, destroyed, events), each broadcastable over (specimens,
-# rungs): at each rung the readout at shutoff, the readout after cool-down,
-# whether the specimen is destroyed, and the kind of the rung's exposure
-# outcome as its index in OutcomeKind. They are run_campaign's `attenuation`
-# values and apply_exposure's outcome kinds bit for bit, up to the rung where
-# the campaign stops; later rungs are not meaningful. The ladder's delivered
-# power never falls, so a manual, fixed or MEMS specimen over a threshold at
-# one rung is over it at every later one: its construction draws alone decide
-# every rung. A VDMC specimen's exposure history does carry from rung to
-# rung, so its readout steps through the rungs in order. A 0 W rung changes
-# nothing: it reaches no threshold, and the VDMC readout skips it.
+# (immediate, after, events), each broadcastable over (specimens, rungs): at
+# each rung the readout at shutoff, the one after cool-down, and the kind of
+# the exposure outcome as its index in OutcomeKind, CRITICAL_FAILURE wherever
+# the specimen is destroyed. They are run_campaign's `attenuation` values and
+# apply_exposure's outcome kinds bit for bit, up to the rung where the
+# campaign stops; later rungs are not meaningful. The ladder's delivered power
+# never falls, so a manual, fixed or MEMS specimen over a threshold at one
+# rung is over it at every later one: its construction draws alone decide
+# every rung. A VDMC specimen's exposure history does carry from rung to rung,
+# so its readout steps through the rungs in order. A 0 W rung changes nothing.
 
 _KIND_CODE = {kind: code for code, kind in enumerate(OutcomeKind)}
 _NO_CHANGE_CODE = _KIND_CODE[OutcomeKind.NO_CHANGE]
@@ -661,7 +661,7 @@ def _maximum(a, b):
 
 
 def _manual_readout(specimens, baseline, p_w, p_dbm, config):
-    return baseline, baseline, False, _NO_CHANGE_CODE
+    return baseline, baseline, _NO_CHANGE_CODE
 
 
 def _fixed_readout(specimens, baseline, p_w, p_dbm, config):
@@ -683,7 +683,7 @@ def _fixed_readout(specimens, baseline, p_w, p_dbm, config):
         [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _KIND_CODE[OutcomeKind.TEMPORARY_DROP]],
         _NO_CHANGE_CODE,
     )
-    return immediate, after, destroyed, events
+    return immediate, after, events
 
 
 def _mems_readout(specimens, baseline, p_w, p_dbm, config):
@@ -705,7 +705,7 @@ def _mems_readout(specimens, baseline, p_w, p_dbm, config):
         [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _PERMANENT_DROP_CODE],
         _NO_CHANGE_CODE,
     )
-    return after, after, destroyed, events
+    return after, after, events
 
 
 def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
@@ -720,7 +720,6 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
     thr = specimens.sampled_attack_threshold_dbm[:, 0]
     tier_thr = [thr + off for off in VDMC_TIER_OFFSETS_DB]
     tier_times = [np.zeros(n) for _ in VDMC_TIER_TIMES_S]
-    max_w = np.zeros(n)
     damaged = np.zeros(n, dtype=bool)
     resistant = np.zeros(n, dtype=bool)
     count = np.zeros(n, dtype=int)
@@ -735,39 +734,40 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
         """_measured_vdmc_delta of each specimen's point at depth_db."""
         return _maximum(control + depth_db * weight, floor) - max(control, floor)
 
-    for j, (w, dbm) in enumerate(zip(p_w.tolist(), p_dbm.tolist())):
-        if w > 0:  # apply_exposure leaves the point untouched at 0 W
-            tier_times = [
-                np.where(dbm >= t_thr, t + config.dwell_s, t)
-                for t, t_thr in zip(tier_times, tier_thr)
-            ]
-            deepen = damaged & _vdmc_deepens(w, max_w)
-            count += deepen
-            shallower = depth
-            depth = np.where(deepen, _vdmc_deepened(depth, factors[count]), depth)
-            max_w = _maximum(max_w, w)
-            cleared = np.logical_or.reduce(
-                [t >= t_req for t, t_req in zip(tier_times, VDMC_TIER_TIMES_S)]
+    # max_w is the previous rung's power, the highest seen, as power never falls.
+    # So 0 W rungs, apply_exposure's no-ops, only open the ladder: at -inf dBm one
+    # reaches no tier, so it clears no point, and 0 > max_w + margin is false.
+    for j, (w, dbm, max_w) in enumerate(zip(p_w.tolist(), p_dbm.tolist(), [0.0, *p_w.tolist()])):
+        tier_times = [
+            np.where(dbm >= t_thr, t + config.dwell_s, t)
+            for t, t_thr in zip(tier_times, tier_thr)
+        ]
+        deepen = damaged & _vdmc_deepens(w, max_w)
+        count += deepen
+        shallower = depth
+        depth = np.where(deepen, _vdmc_deepened(depth, factors[count]), depth)
+        cleared = np.logical_or.reduce(
+            [t >= t_req for t, t_req in zip(tier_times, VDMC_TIER_TIMES_S)]
+        )
+        drawn = np.zeros(n, dtype=bool)
+        for i in np.flatnonzero(cleared & ~damaged & ~resistant).tolist():
+            point = _drawn_vdmc_point(
+                specimens, specimens.seed[i], key, VdmcPoint(control), optimal=dbm >= thr[i]
             )
-            drawn = np.zeros(n, dtype=bool)
-            for i in np.flatnonzero(cleared & ~damaged & ~resistant).tolist():
-                point = _drawn_vdmc_point(
-                    specimens, specimens.seed[i], key, VdmcPoint(control), optimal=dbm >= thr[i]
-                )
-                if point.damaged:
-                    damaged[i] = drawn[i] = True
-                    depth[i] = point.depth_db
-                    weight[i] = _vdmc_dip_weight(point, control)
-                else:
-                    resistant[i] = True
-            if deepen.any() or drawn.any():
-                now = measured(depth)
-                dropped = (drawn & (now < 0)) | (deepen & (now - measured(shallower) < 0))
-                events[dropped, j] = _PERMANENT_DROP_CODE
+            if point.damaged:
+                damaged[i] = drawn[i] = True
+                depth[i] = point.depth_db
+                weight[i] = _vdmc_dip_weight(point, control)
+            else:
+                resistant[i] = True
+        if deepen.any() or drawn.any():
+            now = measured(depth)
+            dropped = (drawn & (now < 0)) | (deepen & (now - measured(shallower) < 0))
+            events[dropped, j] = _PERMANENT_DROP_CODE
         dip[:, j] = depth * weight
     # no exposure heats a VDMC, so after equals immediate
     after = _maximum(control + dip, floor)
-    return after, after, False, events
+    return after, after, events
 
 
 BATCH_READOUT = {
@@ -781,6 +781,17 @@ BATCH_READOUT = {
 # --- profile config loading -------------------------------------------------
 
 _PROFILE_FIELDS = frozenset(f.name for f in fields(DamageProfile))
+
+# The profile fields each class's model reads. A config may set no other for
+# the class, as it would change nothing: a manual VOA reads no field, and
+# neither a MEMS nor a VDMC VOA ever heats. A VDMC VOA never fails, but its
+# failure threshold bounds the attack threshold its profile may hold.
+_READ_FIELDS = {
+    AttenuatorClass.MANUAL_VOA: frozenset(),
+    AttenuatorClass.FIXED: _PROFILE_FIELDS,
+    AttenuatorClass.MEMS_VOA: _PROFILE_FIELDS - {"recovery_tau_s"},
+    AttenuatorClass.VDMC_VOA: _PROFILE_FIELDS - {"failure_probability", "recovery_tau_s"},
+}
 
 
 class ProfileConfigError(ValueError):
@@ -836,4 +847,7 @@ def load_profiles(path: str) -> dict[AttenuatorClass, DamageProfile]:
         if not isinstance(overrides, dict):
             raise ProfileConfigError(f"profile for {name!r} must be an object")
         profiles[klass] = profile_from_dict(DEFAULT_PROFILES[klass], overrides)
+        unread = set(overrides) - _READ_FIELDS[klass]
+        if unread:
+            raise ProfileConfigError(f"{name} never reads profile fields {sorted(unread)}")
     return profiles

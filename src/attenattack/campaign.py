@@ -180,9 +180,9 @@ def _power_ladder(config: CampaignConfig, link: FiberLink, laser: LaserSource):
 
 
 def _stop_rule(config: CampaignConfig, delta_eval, delta_post, destroyed):
-    """(success, critical failure) of an exposed rung, floats or arrays.
+    """(success, critical failure) of a step, floats or arrays.
 
-    Success is checked first: a rung that meets both ends in success.
+    Success is checked first: a step that meets both ends in success.
     """
     return (
         delta_eval <= config.success_delta_db,
@@ -202,42 +202,33 @@ def run_campaign(
 
     baseline_db = attenuation(state)
     steps: list[CampaignStep] = []
-    outcome = CampaignOutcome.INCONCLUSIVE
     attack_power: float | None = None
 
     before = baseline_db  # each step starts from the previous step's `after`
     for p_set, p_delivered, _, fuse in _power_ladder(config, link, laser):
         if fuse:
-            steps.append(
-                CampaignStep(
-                    power_dbm_set=p_set,
-                    power_w_delivered=p_delivered,
-                    duration_s=0.0,
-                    attenuation_before_db=before,
-                    attenuation_immediate_db=before,
-                    attenuation_after_db=before,
-                    delta_db=0.0,
-                    event=FUSE_TRIP,
-                )
-            )
-            outcome = CampaignOutcome.FIBER_FUSE_DOS
-            final_delta = before - baseline_db
-            break
-
-        state, exposure = apply_exposure(state, p_delivered, config.dwell_s)
-        immediate = attenuation(state)
-        state = cool_down(state, config.cooldown_s)
-        after = attenuation(state)
+            # No exposure: it holds the previous `after`, or the baseline on rung 1.
+            # Its delta_eval is no lower and its delta_post the same as the previous
+            # step's, or on rung 1 both are 0, in (success_delta_db, failure_delta_db);
+            # a NaN readout fails both comparisons. So it cannot stop the campaign.
+            immediate = after = before
+            duration, event = 0.0, FUSE_TRIP
+        else:
+            state, exposure = apply_exposure(state, p_delivered, config.dwell_s)
+            immediate = attenuation(state)
+            state = cool_down(state, config.cooldown_s)
+            after = attenuation(state)
+            duration, event = config.dwell_s, exposure.kind.value
         steps.append(
             CampaignStep(
                 power_dbm_set=p_set,
                 power_w_delivered=p_delivered,
-                duration_s=config.dwell_s,
+                duration_s=duration,
                 attenuation_before_db=before,
                 attenuation_immediate_db=immediate,
                 attenuation_after_db=after,
                 delta_db=after - before,
-                event=exposure.kind.value,
+                event=event,
             )
         )
 
@@ -253,6 +244,8 @@ def run_campaign(
             outcome = CampaignOutcome.CRITICAL_FAILURE
             break
         before = after
+    else:  # still running at the last rung: it trips the fuse or reaches the cap
+        outcome = CampaignOutcome.FIBER_FUSE_DOS if fuse else CampaignOutcome.INCONCLUSIVE
 
     return CampaignResult(
         outcome=outcome,
@@ -293,6 +286,7 @@ _BATCH_TRIALS = 256
 OUTCOMES = tuple(CampaignOutcome)
 _CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
 STEP_EVENTS = (*(kind.value for kind in OutcomeKind), FUSE_TRIP)
+_CRITICAL_EVENT = STEP_EVENTS.index(OutcomeKind.CRITICAL_FAILURE.value)
 
 
 class TrialBatch(NamedTuple):
@@ -352,7 +346,7 @@ def _batched_trials(
         # run_campaign's float arithmetic; the readouts also compute values
         # that only some trials keep.
         with np.errstate(over="ignore"):
-            immediate, after, destroyed, events = readout(
+            immediate, after, events = readout(
                 specimens, baseline, p_w[:n_exposed], p_dbm[:n_exposed], config
             )
         # one column per rung
@@ -361,7 +355,7 @@ def _batched_trials(
         )
         if fused:
             # a fuse rung is never exposed: it keeps the readout of the rung
-            # before it, and can only end the campaign
+            # before it, so, as in run_campaign, it can only end the campaign
             held = after[:, -1:] if n_exposed else np.full((n, 1), baseline)
             immediate = np.hstack([immediate, held])
             after = np.hstack([after, held])
@@ -371,11 +365,8 @@ def _batched_trials(
         lowest = np.where(after < immediate, after, immediate)
         delta_eval = lowest - baseline
         delta_post = after - baseline
-        success = np.zeros(after.shape, dtype=bool)
-        failure = np.zeros(after.shape, dtype=bool)
-        success[:, :n_exposed], failure[:, :n_exposed] = _stop_rule(
-            config, delta_eval[:, :n_exposed], delta_post[:, :n_exposed], destroyed
-        )
+        # apply_exposure destroys a specimen exactly when it reports CriticalFailure
+        success, failure = _stop_rule(config, delta_eval, delta_post, events == _CRITICAL_EVENT)
 
         stop = success | failure
         stop[:, -1] = True  # the last rung ends every campaign still running

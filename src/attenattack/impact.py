@@ -40,20 +40,20 @@ def adjusted_mu(mu0: float, delta_attenuation_db: float) -> float:
     """Mean photon number after the attenuation change."""
     if not 0 < mu0 < math.inf:
         raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
-    return mu0 * mpn_ratio(delta_attenuation_db)
+    mu = mu0 * mpn_ratio(delta_attenuation_db)
+    if mu == math.inf:
+        raise ValueError(
+            f"mu0 {mu0} with delta {delta_attenuation_db} dB takes the mean photon "
+            "number past the float range"
+        )
+    return mu
 
 
-def classify(
-    delta_attenuation_db: float,
-    success_threshold_db: float = DEFAULT_SUCCESS_THRESHOLD_DB,
-    failure_threshold_db: float = DEFAULT_FAILURE_THRESHOLD_DB,
-) -> ImpactClass:
+def classify(delta_attenuation_db: float) -> ImpactClass:
     """Attack outcome class for a measured attenuation change."""
-    if not success_threshold_db < 0 < failure_threshold_db:
-        raise ValueError("need success_threshold < 0 < failure_threshold")
-    if delta_attenuation_db <= success_threshold_db:
+    if delta_attenuation_db <= DEFAULT_SUCCESS_THRESHOLD_DB:
         return ImpactClass.COMPROMISED
-    if delta_attenuation_db >= failure_threshold_db:
+    if delta_attenuation_db >= DEFAULT_FAILURE_THRESHOLD_DB:
         return ImpactClass.DENIAL_OF_SERVICE
     return ImpactClass.UNAFFECTED
 
@@ -79,19 +79,12 @@ class ImpactReport:
         )
 
 
-def impact_report(
-    delta_attenuation_db: float,
-    mu_before: float = DEFAULT_MU0,
-    success_threshold_db: float = DEFAULT_SUCCESS_THRESHOLD_DB,
-    failure_threshold_db: float = DEFAULT_FAILURE_THRESHOLD_DB,
-) -> ImpactReport:
+def impact_report(delta_attenuation_db: float, mu_before: float = DEFAULT_MU0) -> ImpactReport:
     ratio = mpn_ratio(delta_attenuation_db)
     return ImpactReport(
         delta_attenuation_db=delta_attenuation_db,
         mpn_ratio=ratio,
         mu_before=mu_before,
         mu_after=adjusted_mu(mu_before, delta_attenuation_db),
-        classification=classify(
-            delta_attenuation_db, success_threshold_db, failure_threshold_db
-        ),
+        classification=classify(delta_attenuation_db),
     )

@@ -185,12 +185,28 @@ class TestFuse:
             check_fuse(CampaignConfig(), -1.0)
 
     def test_campaign_ends_in_dos_on_trip(self):
-        cfg = CampaignConfig(connectorized_output=True)
-        state = new_attenuator(AttenuatorClass.MANUAL_VOA, None, 31.0, seed=0)
-        result = run_campaign(cfg, state, LINK_20M, LASER)
-        assert result.outcome is CampaignOutcome.FIBER_FUSE_DOS
-        assert result.steps[-1].event == "FuseTrip"
-        assert result.steps[-1].power_w_delivered >= 4.5
+        # the fuse step is not exposed: it holds the step before's readout,
+        # for the fixed specimen a thermal drop that no cool-down undid
+        fixed_seed = find_seed(AttenuatorClass.FIXED, Fate.SUCCESS, 25.0)
+        for klass, seed, cfg in [
+            (AttenuatorClass.MANUAL_VOA, 0, CampaignConfig(connectorized_output=True)),
+            (AttenuatorClass.FIXED, fixed_seed, CampaignConfig(
+                connectorized_output=True, success_delta_db=-20.0, cooldown_s=0.0)),
+        ]:
+            state = new_attenuator(klass, None, None, seed=seed)
+            result = run_campaign(cfg, state, LINK_20M, LASER)
+            assert result.outcome is CampaignOutcome.FIBER_FUSE_DOS
+            *_, previous, fuse = result.steps
+            assert fuse.event == "FuseTrip"
+            assert fuse.power_w_delivered >= 4.5
+            held = previous.attenuation_after_db
+            assert fuse.attenuation_before_db == held
+            assert fuse.attenuation_immediate_db == held
+            assert fuse.attenuation_after_db == held
+            assert fuse.delta_db == 0.0
+            assert fuse.duration_s == 0.0
+            assert result.final_delta_db == held - result.baseline_db
+        assert held < result.baseline_db  # the fixed specimen held a drop
 
 
 def summary_of(results):
@@ -349,6 +365,9 @@ def batched_inputs(draw):
     config = CampaignConfig(
         start_power_dbm=start,
         step_dbm=draw(usually(0.5, [1.0], 0.5, 1.0)),
+        # above every blocked rise (fixed 20-35 dB, MEMS up to 74 dB), so
+        # that destruction alone ends a campaign
+        failure_delta_db=draw(st.sampled_from([3.0, 3.0, 50.0])),
         # a long dwell clears the VDMC law's low-power tiers below the
         # threshold
         dwell_s=draw(usually(10.0, [10.1, 300.0], 10.0, 300.0)),
@@ -414,13 +433,46 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
     ),
     seed=11, n_trials=5, batch=2,
 )
-# the fuse trips on the first rung
+# the fuse trips on the first rung, for three classes
 @example(
     inputs=(
         AttenuatorClass.MEMS_VOA, DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], 30.0,
         CampaignConfig(connectorized_output=True, fuse_threshold_w=0.1), LINK_20M,
     ),
     seed=1, n_trials=5, batch=2,
+)
+@example(
+    inputs=(
+        AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
+        CampaignConfig(connectorized_output=True, fuse_threshold_w=0.1), LINK_20M,
+    ),
+    seed=15, n_trials=5, batch=2,
+)
+@example(
+    inputs=(
+        VDMC, VDMC_PROFILE, 53.0,
+        CampaignConfig(connectorized_output=True, fuse_threshold_w=0.1), LINK_20M,
+    ),
+    seed=16, n_trials=5, batch=2,
+)
+# fixed: the fuse step holds the readout of a rung whose thermal drop no
+# cool-down undid, and which did not end the campaign
+@example(
+    inputs=(
+        AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
+        CampaignConfig(connectorized_output=True, success_delta_db=-20.0, cooldown_s=0.0),
+        LINK_20M,
+    ),
+    seed=17, n_trials=30, batch=7,
+)
+# a failure threshold above every blocked rise: destruction alone ends a
+# campaign
+@example(
+    inputs=(
+        AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
+        CampaignConfig(failure_delta_db=50.0), LINK_20M,
+    ),
+    seed=18, n_trials=20, batch=7,
 )
 # every rung delivers 0 W
 @example(

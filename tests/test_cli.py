@@ -19,7 +19,13 @@ except ImportError:  # not on Windows
     resource = None
 
 from attenattack import _lazy_module, campaign, cli
-from attenattack.attenuators import SETPOINT_RANGES, AttenuatorClass
+from attenattack.attenuators import (
+    _PROFILE_FIELDS,
+    DEFAULT_PROFILES,
+    SETPOINT_RANGES,
+    AttenuatorClass,
+    profile_to_dict,
+)
 from attenattack.campaign import DEFAULT_LINK, monte_carlo
 from attenattack.impact import impact_report
 from attenattack.risk import RiskQuery
@@ -284,6 +290,15 @@ class TestImpact:
         cp = run_cli("impact", "--delta-db", "-1", "--mu0", "0")
         assert cp.returncode == 2
 
+    def test_mean_photon_number_beyond_float_range_exits_2(self):
+        # once printed the result note, then failed to write inf as JSON
+        code, out, err = run_in_process("impact", "--delta-db=-3", "--mu0", "1.7e308")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "float range" in err
+        assert "Compromised" not in err
+
 
 class TestRisk:
     def test_current_record(self):
@@ -474,6 +489,70 @@ def test_defaults_come_from_the_library():
     assert risk_args.population == RiskQuery.population_total
     assert risk_args.fraction == RiskQuery.vulnerable_fraction
     assert risk_args.prior == RiskQuery.prior.value
+
+
+# A value for each profile field a class reads that changes a seeded
+# --per-trial run, or the overrides that do. Every other (class, field) pair
+# is one the model never reads, and a config may not set it.
+READ_FIELD_VALUES = {
+    ("fixed", "attack_threshold_dbm"): 30.0,
+    ("fixed", "failure_threshold_dbm"): 36.0,
+    ("fixed", "success_delta_db_mean"): -2.0,
+    ("fixed", "success_delta_db_spread"): 0.05,
+    ("fixed", "success_probability"): 0.2,
+    ("fixed", "failure_probability"): 0.1,
+    ("fixed", "recovery_tau_s"): 10.0,
+    ("fixed", "insertion_loss_floor_db"): 25.5,
+    ("mems-voa", "attack_threshold_dbm"): 33.0,
+    ("mems-voa", "failure_threshold_dbm"): 37.5,
+    ("mems-voa", "success_delta_db_mean"): -8.0,
+    ("mems-voa", "success_delta_db_spread"): 1.0,
+    ("mems-voa", "success_probability"): 0.3,
+    ("mems-voa", "failure_probability"): 0.1,
+    ("mems-voa", "insertion_loss_floor_db"): 31.0,
+    ("vdmc-voa", "attack_threshold_dbm"): 33.0,
+    # it bounds the attack threshold, which may then exceed the shipped 36.5 dBm
+    ("vdmc-voa", "failure_threshold_dbm"): {
+        "attack_threshold_dbm": 38.0, "failure_threshold_dbm": 40.0
+    },
+    ("vdmc-voa", "success_delta_db_mean"): -5.0,
+    ("vdmc-voa", "success_delta_db_spread"): 1.0,
+    ("vdmc-voa", "success_probability"): 0.3,
+    ("vdmc-voa", "insertion_loss_floor_db"): 60.0,
+}
+UNREAD_FIELDS = sorted(
+    {(c.value, f) for c in AttenuatorClass for f in _PROFILE_FIELDS} - set(READ_FIELD_VALUES)
+)
+PER_TRIAL_RUN = ("--trials", "20", "--seed", "3", "--per-trial")
+
+
+@pytest.mark.parametrize("klass, field", list(READ_FIELD_VALUES))
+def test_each_read_profile_field_changes_the_run(tmp_path: Path, klass, field):
+    cfg = tmp_path / "profile.json"
+    value = READ_FIELD_VALUES[klass, field]
+    overrides = value if isinstance(value, dict) else {field: value}
+    cfg.write_text(json.dumps({"profiles": {klass: overrides}}))
+    code, out, err = run_in_process(
+        "campaign", "--class", klass, *PER_TRIAL_RUN, "--config", str(cfg)
+    )
+    assert code == 0, err
+    assert out != run_in_process("campaign", "--class", klass, *PER_TRIAL_RUN)[1]
+
+
+@pytest.mark.parametrize(
+    "mode", [("--trials", "1"), ("--trials", "3"), ("--trials", "3", "--per-trial")]
+)
+@pytest.mark.parametrize("klass, field", UNREAD_FIELDS)
+def test_profile_field_the_class_never_reads_exits_3(tmp_path: Path, klass, field, mode):
+    # once a silent no-op: the run's output was the same without it. Even the
+    # class's shipped value is rejected.
+    value = profile_to_dict(DEFAULT_PROFILES[AttenuatorClass(klass)])[field]
+    cfg = tmp_path / "profile.json"
+    cfg.write_text(json.dumps({"profiles": {klass: {field: value}}}))
+    code, out, err = run_in_process("campaign", "--class", klass, *mode, "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err == f"config error: {klass} never reads profile fields ['{field}']\n"
 
 
 @pytest.mark.parametrize(
