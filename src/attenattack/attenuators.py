@@ -22,7 +22,7 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from typing import NamedTuple
 
 from . import _lazy_module
@@ -231,9 +231,8 @@ def _draw_fate(u: float, profile: DamageProfile) -> Fate:
 
 
 class VdmcPoint(NamedTuple):
-    """Exposure bookkeeping of one VDMC disk position; replaced, never mutated."""
+    """Exposure bookkeeping of the VDMC disk point at the control; replaced, never mutated."""
 
-    setting_db: float
     tier_times_s: tuple[float, ...] = (0.0, 0.0, 0.0)
     max_power_w: float = 0.0
     damaged: bool = False
@@ -246,8 +245,10 @@ class VdmcPoint(NamedTuple):
 
 @dataclass
 class AttenuatorState:
-    """One attenuator specimen under attack. Operations return a shallow copy
-    and never mutate their input: shared values are immutable or replaced."""
+    """One attenuator specimen under attack. Its control is fixed at
+    construction, and its permanent damage is recorded at that control.
+    Operations return a shallow copy and never mutate their input: shared
+    values are immutable or replaced."""
 
     klass: AttenuatorClass
     profile: DamageProfile
@@ -264,10 +265,8 @@ class AttenuatorState:
     thermal_offset_db: float = 0.0
     destroyed: bool = False
     blocked_db: float = 0.0
-    # MEMS: the baseline attenuation at which band damage was written
-    mems_damaged_at_db: float | None = None
-    # VDMC per-point exposure bookkeeping, keyed by setting in milli-dB
-    vdmc_points: dict[int, VdmcPoint] = field(default_factory=dict)
+    mems_damaged: bool = False          # MEMS: the band drop is written
+    vdmc_point: VdmcPoint = VdmcPoint()  # VDMC: the exposed point's bookkeeping
 
     def copy(self) -> "AttenuatorState":
         new = object.__new__(AttenuatorState)
@@ -412,23 +411,21 @@ def _mems_attenuation(state: AttenuatorState, control: float) -> float:
 
 
 def _vdmc_attenuation(state: AttenuatorState, control: float) -> float:
-    # baseline is the calibrated identity curve plus any local dips
+    # baseline is the calibrated identity curve plus the exposed point's dip
     _check_setting(state.klass, control)
-    value = control + state.thermal_offset_db
-    for point in state.vdmc_points.values():
-        value += _vdmc_dip_db(point, control)
+    value = control + state.thermal_offset_db + _vdmc_dip_db(state.vdmc_point, control)
     return max(value, state.profile.insertion_loss_floor_db)
 
 
 def _mems_band_offset(state: AttenuatorState, baseline_db: float) -> float:
-    a0_db = state.mems_damaged_at_db
-    if a0_db is None:
+    if not state.mems_damaged:
         return 0.0
-    return state.drop_db * _mems_band_weight(a0_db, baseline_db)
+    return _mems_band_drop(state.drop_db, mems_voltage_to_attenuation(state.control), baseline_db)
 
 
-def _mems_band_weight(a0_db: float, baseline_db: float) -> float:
-    """Share of a drop written at attenuation a0_db that shows at baseline_db."""
+def _mems_band_drop(drop_db, a0_db: float, baseline_db: float):
+    """The share of a drop, a float or an array, written at attenuation a0_db
+    that shows at baseline_db; none at a weight of 0, even of an infinite drop."""
     span = MEMS_A_MAX - MEMS_A_MIN
     band_lo = MEMS_A_MIN + (1.0 - MEMS_BAND_FRACTION) * span
     taper = MEMS_TAPER_FRACTION * span
@@ -439,7 +436,8 @@ def _mems_band_weight(a0_db: float, baseline_db: float) -> float:
         return max((a - (band_lo - taper)) / taper, 0.0)
 
     w0 = max(weight(a0_db), 0.25)
-    return min(weight(baseline_db) / w0, 1.0)
+    w = min(weight(baseline_db) / w0, 1.0)
+    return drop_db * w if w > 0 else 0.0
 
 
 _NO_CHANGE = ExposureOutcome(OutcomeKind.NO_CHANGE)
@@ -494,31 +492,23 @@ def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOu
         return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, MEMS_BLOCKED_DB - baseline)
     if (
         new.fate is Fate.SUCCESS
-        and new.mems_damaged_at_db is None
+        and not new.mems_damaged
         and p_dbm >= new.sampled_attack_threshold_dbm
     ):
-        new.mems_damaged_at_db = baseline
+        new.mems_damaged = True
         return ExposureOutcome(OutcomeKind.PERMANENT_DROP, new.drop_db)
     return _NO_CHANGE
 
 
 def _expose_vdmc(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
-    key = _vdmc_key(new.control)
-    point, outcome = _exposed_vdmc_point(new, key, power_w, p_dbm, duration_s)
-    # a new dict, so the input state's points stay as they were
-    new.vdmc_points = {**new.vdmc_points, key: point}
+    new.vdmc_point, outcome = _exposed_vdmc_point(new, power_w, p_dbm, duration_s)
     return outcome
 
 
-def _vdmc_key(control_db: float) -> int:
-    """A disk point's key: its setting in milli-dB."""
-    return int(round(control_db * 1000.0))
-
-
 def _exposed_vdmc_point(
-    new: AttenuatorState, key: int, power_w, p_dbm, duration_s
+    new: AttenuatorState, power_w, p_dbm, duration_s
 ) -> tuple[VdmcPoint, ExposureOutcome]:
-    old = new.vdmc_points.get(key) or VdmcPoint(setting_db=new.control)
+    old = new.vdmc_point
     thr = new.sampled_attack_threshold_dbm
     point = old._replace(
         tier_times_s=tuple(
@@ -546,7 +536,7 @@ def _exposed_vdmc_point(
             return deeper, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
         return deeper, _NO_CHANGE
 
-    point = _drawn_vdmc_point(new, new.seed, key, point, optimal=p_dbm >= thr)
+    point = _drawn_vdmc_point(new, new.seed, point, optimal=p_dbm >= thr)
     if not point.damaged:
         return point, _NO_CHANGE
     delta = _measured_vdmc_delta(new, point)
@@ -566,13 +556,13 @@ def _vdmc_deepened(depth_db, factor):
 
 
 def _drawn_vdmc_point(
-    state: AttenuatorState, seed: int, key: int, point: VdmcPoint, optimal: bool
+    state: AttenuatorState, seed: int, point: VdmcPoint, optimal: bool
 ) -> VdmcPoint:
     """`point` of the specimen of `seed` after an exposure that clears the
     law: unchanged if the point is not vulnerable, else damaged with a dip.
-    The draw is seeded per point, so every exposure draws the same.
-    `state` gives the profile and control."""
-    rng = np.random.default_rng([seed, abs(key), 0x5D])
+    The draw is seeded by the point's key, its setting in milli-dB, so every
+    exposure draws the same. `state` gives the profile and control."""
+    rng = np.random.default_rng([seed, abs(round(state.control * 1000)), 0x5D])
     profile = state.profile
     if not rng.random() < profile.success_probability:
         return point
@@ -594,7 +584,7 @@ def _drawn_vdmc_point(
 
 
 def _measured_vdmc_delta(state: AttenuatorState, point: VdmcPoint) -> float:
-    setting = point.setting_db
+    setting = state.control
     floor = state.profile.insertion_loss_floor_db
     baseline = max(setting, floor)
     return max(setting + _vdmc_dip_db(point, setting), floor) - baseline
@@ -627,12 +617,12 @@ def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:
 
 
 def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
-    """Thermal offset, a float or an array, after cooling for elapsed_s."""
-    if elapsed_s > 0 and tau_s > 0:
-        return offset_db * math.exp(-elapsed_s / tau_s)
-    if elapsed_s > 0:
-        return 0.0
-    return offset_db
+    """Thermal offset, a float or an array, after cooling for elapsed_s; a
+    factor that underflows to 0 cools fully, even an infinite offset."""
+    if elapsed_s == 0:
+        return offset_db
+    factor = math.exp(-elapsed_s / tau_s) if tau_s > 0 else 0.0
+    return offset_db * factor if factor > 0 else 0.0
 
 
 # --- batched readouts -------------------------------------------------------
@@ -690,10 +680,10 @@ def _mems_readout(specimens, baseline, p_w, p_dbm, config):
     failing = specimens.fate == Fate.FAILURE
     destroyed = failing & (p_dbm >= specimens.sampled_failure_threshold_dbm)
     damaged = (specimens.fate == Fate.SUCCESS) & (p_dbm >= specimens.sampled_attack_threshold_dbm)
-    # damage is written at the setpoint's own level, the only one read here
+    # damage is written at the control's level, the only one read here
     level = mems_voltage_to_attenuation(specimens.control)
     damaged_db = _maximum(
-        level + specimens.drop_db * _mems_band_weight(level, level),
+        level + _mems_band_drop(specimens.drop_db, level, level),
         specimens.profile.insertion_loss_floor_db,
     )
     after = np.where(destroyed, MEMS_BLOCKED_DB, np.where(damaged, damaged_db, baseline))
@@ -709,13 +699,12 @@ def _mems_readout(specimens, baseline, p_w, p_dbm, config):
 
 
 def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
-    # The control never moves, so a campaign exposes one disk point. Its
-    # VdmcPoint fields are carried as arrays over the specimens and updated
-    # as _exposed_vdmc_point updates them; a specimen draws its dip once, on
-    # the rung where its point first clears the law.
+    # A specimen's one disk point, at its control: the fields of its
+    # vdmc_point are carried as arrays over the specimens and updated as
+    # _exposed_vdmc_point updates them. A specimen draws its dip once, from
+    # the batch's unexposed point, on the rung where it first clears the law.
     control = specimens.control
     floor = specimens.profile.insertion_loss_floor_db
-    key = _vdmc_key(control)
     n = len(specimens.seed)
     thr = specimens.sampled_attack_threshold_dbm[:, 0]
     tier_thr = [thr + off for off in VDMC_TIER_OFFSETS_DB]
@@ -752,7 +741,7 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
         drawn = np.zeros(n, dtype=bool)
         for i in np.flatnonzero(cleared & ~damaged & ~resistant).tolist():
             point = _drawn_vdmc_point(
-                specimens, specimens.seed[i], key, VdmcPoint(control), optimal=dbm >= thr[i]
+                specimens, specimens.seed[i], specimens.vdmc_point, optimal=dbm >= thr[i]
             )
             if point.damaged:
                 damaged[i] = drawn[i] = True

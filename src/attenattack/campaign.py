@@ -273,6 +273,8 @@ class MonteCarloSummary:
 
 def trial_seeds(master_seed: int, n_trials: int) -> list[int]:
     """Independent per-trial seeds derived by SeedSequence state expansion."""
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
     ss = np.random.SeedSequence(master_seed)
     return [int(s) for s in ss.generate_state(n_trials, dtype=np.uint64)]
 

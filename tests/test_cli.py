@@ -599,6 +599,15 @@ def test_minus_infinite_attack_threshold_exits_3(tmp_path: Path, klass, mode):
     assert not out.exists()
 
 
+# A susceptible specimen that draws a drop of -inf, at a setting where no
+# share of it may show: a fixed one cooled by a factor that underflows to 0,
+# a MEMS one below its damage band. Both once read as NaN.
+INFINITE_DROP = {
+    "success_delta_db_mean": -1.79e308, "success_delta_db_spread": 0.99e308,
+    "success_probability": 1.0, "failure_probability": 0.0,
+}
+
+
 @pytest.mark.parametrize("mode", [("--trials", "300"), ("--trials", "300", "--per-trial")])
 @pytest.mark.parametrize(
     "klass, overrides, flags",
@@ -610,8 +619,12 @@ def test_minus_infinite_attack_threshold_exits_3(tmp_path: Path, klass, mode):
         ("vdmc-voa", {}, ("--dwell-s", "1e308")),
         # a thermal drop scaled past the float range
         ("fixed", {"success_delta_db_mean": 1.5e308}, ()),
+        # an infinite drop that cools fully, or that lies below the MEMS band
+        ("fixed", INFINITE_DROP, ("--cooldown-s", "1e308")),
+        ("mems-voa", INFINITE_DROP, ("--setpoint-db", "5")),
     ],
-    ids=["vdmc-dip", "vdmc-deepened-dip", "vdmc-dwell", "fixed-drop"],
+    ids=["vdmc-dip", "vdmc-deepened-dip", "vdmc-dwell", "fixed-drop", "fixed-cooled-inf-drop",
+         "mems-inf-drop-below-band"],
 )
 def test_batched_readout_overflows_without_warning(tmp_path: Path, klass, overrides, flags, mode):
     # run_campaign's float arithmetic gives inf there without a warning, and
@@ -625,6 +638,31 @@ def test_batched_readout_overflows_without_warning(tmp_path: Path, klass, overri
         )
     assert code == 0, err
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "klass, flags, seed, shown_db",
+    [("fixed", ("--cooldown-s", "1e308"), "1", 25.0), ("mems-voa", ("--setpoint-db", "5"), "3", 5.0)],
+    ids=["fixed-cooled-inf-drop", "mems-inf-drop-below-band"],
+)
+def test_hidden_infinite_drop_reads_finite_in_one_trial(tmp_path: Path, klass, flags, seed, shown_db):
+    cfg = tmp_path / "profile.json"
+    cfg.write_text(json.dumps({"profiles": {klass: INFINITE_DROP}}))
+    code, out, err = run_in_process(
+        "campaign", "--class", klass, "--trials", "1", *flags, "--seed", seed, "--config", str(cfg)
+    )
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the output"))
+    # fully cooled, or below the band: no share of the drop shows afterwards
+    assert {step["attenuation_after_db"] for step in doc["steps"]} == {shown_db}
+
+
+@pytest.mark.parametrize("trials", ["1", "3"])
+def test_negative_seed_exits_2_naming_it(trials):
+    code, out, err = run_in_process("campaign", "--class", "fixed", "--trials", trials, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
 
 
 @pytest.mark.parametrize("trials", [str(campaign.MAX_TRIALS + 1), "1000000000000000", str(10**30)])

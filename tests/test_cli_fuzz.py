@@ -187,13 +187,15 @@ def config_path(tmp_path_factory):
     trials=TRIALS,
     switches=SWITCHES,
     overrides=st.dictionaries(st.sampled_from(PROFILE_FIELDS), FIELD_VALUES, max_size=3),
+    # flags that decide where a profile's drops show: the setting and the cool-down
+    argv=flags(**dict.fromkeys(["--setpoint-db", "--cooldown-s"], VALUES)),
 )
-def test_campaign_config_fields(config_path, klass, trials, switches, overrides):
+def test_campaign_config_fields(config_path, klass, trials, switches, overrides, argv):
     # json.dumps writes inf and nan as the Infinity and NaN that json.load reads
     config_path.write_text(json.dumps({"profiles": {klass: overrides}}))
     code, out = run([
         "campaign", "--class", klass, f"--trials={trials}", "--config", str(config_path),
-        *switches,
+        *switches, *argv,
     ])
     if any(
         isinstance(value, (bool, str)) or value is None and name not in NULLABLE
