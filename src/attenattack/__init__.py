@@ -92,10 +92,10 @@ def _lazy_module(name: str):
     return module
 
 
-def _left_sum(values):
-    """The sum of `values` added left to right, as the built-in sum adds
+def _left_sum(values, start=0):
+    """`start` plus `values` added left to right, as the built-in sum adds
     floats before Python 3.12; from 3.12 it compensates, and its bits differ."""
-    return functools.reduce(operator.add, values, 0)
+    return functools.reduce(operator.add, values, start)
 
 
 def __getattr__(name: str):

@@ -327,7 +327,13 @@ def specimen_inputs(
 
 def _draws(klass: AttenuatorClass, profile: DamageProfile, seed: int) -> tuple:
     """A specimen's seeded values: its two sampled thresholds, fate, drop_db
-    and failure_increase_db, in AttenuatorState's field order."""
+    and failure_increase_db, in AttenuatorState's field order.
+
+    A manual VOA draws nothing, as no code reads its values: its thresholds
+    are inf and its fate RESISTANT whatever its profile, so a finite manual
+    threshold in a caller's profile does not show in the sampled ones."""
+    if klass is AttenuatorClass.MANUAL_VOA:
+        return math.inf, math.inf, Fate.RESISTANT, 0.0, 0.0
     rng = np.random.default_rng(seed)
     d = THRESHOLD_DISPERSION_DBM
     # drawn even where unused, so the draw sequence is the same for every class
@@ -495,8 +501,11 @@ def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOu
         and not new.mems_damaged
         and p_dbm >= new.sampled_attack_threshold_dbm
     ):
+        before = attenuation(new)
         new.mems_damaged = True
-        return ExposureOutcome(OutcomeKind.PERMANENT_DROP, new.drop_db)
+        shown = attenuation(new) - before  # none below the damage band or the floor
+        if shown < 0:
+            return ExposureOutcome(OutcomeKind.PERMANENT_DROP, shown)
     return _NO_CHANGE
 
 
@@ -687,8 +696,8 @@ def _mems_readout(specimens, baseline, p_w, p_dbm, config):
         specimens.profile.insertion_loss_floor_db,
     )
     after = np.where(destroyed, MEMS_BLOCKED_DB, np.where(damaged, damaged_db, baseline))
-    # the drop is reported on the first damaged rung only
-    first_damage = damaged.copy()
+    # the drop is reported on the first damaged rung only, where it shows
+    first_damage = damaged & (damaged_db < baseline)
     first_damage[:, 1:] &= ~damaged[:, :-1]
     events = np.select(
         [destroyed, first_damage],

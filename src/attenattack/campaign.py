@@ -46,8 +46,8 @@ SCHEMA_VERSION = 1
 # Most rungs a power ladder may hold; the default ladder has 30.
 MAX_RUNGS = 2000
 
-# Most trials a Monte Carlo run may hold. Every seed is drawn up front, so a
-# count far beyond it fails allocating them or runs for hours.
+# Most trials a Monte Carlo run may hold. All seeds are drawn up front, 8 MB at
+# this count, so a count far beyond it fails allocating them or runs for hours.
 MAX_TRIALS = 10**6
 
 # The injection link of a campaign given none: a 20 m patch fiber.
@@ -271,12 +271,11 @@ class MonteCarloSummary:
         return asdict(self)
 
 
-def trial_seeds(master_seed: int, n_trials: int) -> list[int]:
-    """Independent per-trial seeds derived by SeedSequence state expansion."""
+def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
+    """Independent per-trial seeds, a uint64 array, by SeedSequence state expansion."""
     if master_seed < 0:
         raise ValueError(f"seed must be >= 0, got {master_seed}")
-    ss = np.random.SeedSequence(master_seed)
-    return [int(s) for s in ss.generate_state(n_trials, dtype=np.uint64)]
+    return np.random.SeedSequence(master_seed).generate_state(n_trials, dtype=np.uint64)
 
 
 # Trials the batched engine reads at once. Its arrays are trials x rungs, so
@@ -322,11 +321,11 @@ def _batched_trials(
     klass: AttenuatorClass,
     profile: DamageProfile | None,
     setpoint_db: float | None,
-    seeds: list[int],
+    seeds: np.ndarray,
     link: FiberLink,
     laser: LaserSource,
 ):
-    """Yield a TrialBatch per batch of trials.
+    """Yield a TrialBatch per batch of trials, one per trial_seeds seed.
 
     Each trial's values and steps are those run_campaign gives its specimen.
     """
@@ -342,7 +341,7 @@ def _batched_trials(
     duration = np.where(fuse, 0.0, config.dwell_s)
     readout = BATCH_READOUT[klass]
     for lo in range(0, len(seeds), _BATCH_TRIALS):
-        specimens = specimen_batch(first, seeds[lo:lo + _BATCH_TRIALS])
+        specimens = specimen_batch(first, seeds[lo:lo + _BATCH_TRIALS].tolist())
         n = len(specimens.seed)
         # A value past the float range becomes inf without a warning, as in
         # run_campaign's float arithmetic; the readouts also compute values
@@ -412,37 +411,29 @@ def monte_carlo(
     The trials run in batches through the batched engine, which gives each
     trial the outcome run_campaign gives its specimen. `on_batch`, if given,
     sees each batch of trials with their steps; no batch outlives its call
-    here, so memory does not grow with `n_trials`.
+    here. The run keeps one 8-byte seed per trial and running totals.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
 
-    counts = {o: 0 for o in CampaignOutcome}
-    success_deltas: list[float] = []
-    attack_powers: list[float] = []
+    tally = np.zeros(len(OUTCOMES), dtype=int)
+    delta_sum = power_sum = 0
     seeds = trial_seeds(seed, n_trials)
     for batch in _batched_trials(config, klass, profile, setpoint_db, seeds, link, laser):
-        tally = np.bincount(batch.codes, minlength=len(OUTCOMES)).tolist()
-        for outcome, count in zip(OUTCOMES, tally):
-            counts[outcome] += count
+        tally += np.bincount(batch.codes, minlength=len(OUTCOMES))
         won = batch.codes == _CODE[CampaignOutcome.SUCCESS]
-        # in trial order, so the sums below add the same floats in the same
-        # order as a loop over run_campaign's results would
-        success_deltas.extend(batch.final_delta_db[won].tolist())
-        attack_powers.extend(batch.attack_power_dbm[won].tolist())
+        # in trial order, so the sums add the same floats in the same order
+        # as a loop over run_campaign's results would
+        delta_sum = _left_sum(batch.final_delta_db[won].tolist(), delta_sum)
+        power_sum = _left_sum(batch.attack_power_dbm[won].tolist(), power_sum)
         if on_batch is not None:
             on_batch(batch)
 
+    counts = tally.tolist()
+    successes = counts[_CODE[CampaignOutcome.SUCCESS]]
     return MonteCarloSummary(
-        n_trials=n_trials,
-        success_rate=counts[CampaignOutcome.SUCCESS] / n_trials,
-        critical_failure_rate=counts[CampaignOutcome.CRITICAL_FAILURE] / n_trials,
-        inconclusive_rate=counts[CampaignOutcome.INCONCLUSIVE] / n_trials,
-        fiber_fuse_rate=counts[CampaignOutcome.FIBER_FUSE_DOS] / n_trials,
-        mean_success_delta_db=(
-            _left_sum(success_deltas) / len(success_deltas) if success_deltas else None
-        ),
-        mean_attack_threshold_dbm=(
-            _left_sum(attack_powers) / len(attack_powers) if attack_powers else None
-        ),
+        n_trials,
+        *(count / n_trials for count in counts),  # the rate fields are in OUTCOMES order
+        mean_success_delta_db=delta_sum / successes if successes else None,
+        mean_attack_threshold_dbm=power_sum / successes if successes else None,
     )

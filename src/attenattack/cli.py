@@ -271,7 +271,7 @@ def _cmd_campaign(args, out) -> int:
     profile, setpoint = specimen_inputs(klass, profile, args.setpoint_db)
 
     if args.trials == 1:
-        state = new_attenuator(klass, profile, setpoint, seed=trial_seeds(args.seed, 1)[0])
+        state = new_attenuator(klass, profile, setpoint, seed=int(trial_seeds(args.seed, 1)[0]))
         result = run_campaign(config, state, link, laser)
         _write(out, _json(result.to_json_dict(config)), "\n")
         return 0

@@ -2,7 +2,9 @@ import copy
 import dataclasses
 import json
 import math
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,18 @@ class TestManualVoa:
         for p in powers:
             state, _ = apply_exposure(state, p, 10.0)
         assert attenuation(state) == 40.0
+
+    def test_draws_nothing(self):
+        # nothing reads a manual specimen's draws, so even finite profile
+        # thresholds leave its sampled ones inf
+        profile = dataclasses.replace(
+            DEFAULT_PROFILES[AttenuatorClass.MANUAL_VOA],
+            attack_threshold_dbm=30.0, failure_threshold_dbm=31.0, success_probability=1.0,
+        )
+        with patch.object(np.random, "default_rng", side_effect=AssertionError("drawn")):
+            state = new_attenuator(AttenuatorClass.MANUAL_VOA, profile, 31.0, seed=3)
+        assert state.sampled_attack_threshold_dbm == state.sampled_failure_threshold_dbm == math.inf
+        assert state.fate is Fate.RESISTANT
 
 
 class TestFixed:

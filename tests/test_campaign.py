@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 import tracemalloc
@@ -20,6 +21,7 @@ from attenattack.attenuators import (
     specimen_batch,
 )
 from attenattack.campaign import (
+    STEP_EVENTS,
     CampaignConfig,
     CampaignOutcome,
     MonteCarloSummary,
@@ -576,6 +578,49 @@ def test_batched_vdmc_adds_each_dwell():
         assert_engines_agree((VDMC, VDMC_PROFILE, 53.0, config, LINK_20M), 11, 20, 7)
 
 
+# What each step event says of the step's readouts. A temporary drop may
+# show none: the floor can hide it, and with no cool-down a capped drop
+# stays where the rung before left it.
+STEP_EVENT_RULES = {
+    "PermanentDrop": lambda step: step["delta_db"] < 0,
+    "TemporaryDrop": lambda step: step["attenuation_immediate_db"] <= step["attenuation_before_db"],
+    "CriticalFailure": lambda step: step["attenuation_after_db"] > step["attenuation_before_db"],
+    "FuseTrip": lambda step: step["delta_db"] == 0 and step["duration_s"] == 0,
+    "NoChange": lambda step: step["delta_db"] == 0,
+}
+
+
+# MEMS below its damage band: the drop is written, and none of it shows
+@example(
+    inputs=(AttenuatorClass.MEMS_VOA, DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], 5.0,
+            CampaignConfig(), LINK_20M),
+    seed=1, n_trials=40,
+)
+# fixed: with no cool-down a capped thermal drop holds from rung to rung
+@example(
+    inputs=(AttenuatorClass.FIXED, DEFAULT_PROFILES[AttenuatorClass.FIXED], 25.0,
+            CampaignConfig(cooldown_s=0.0), LINK_20M),
+    seed=1, n_trials=40,
+)
+@settings(max_examples=200, deadline=None)
+@given(inputs=batched_inputs(), seed=st.integers(0, 2**32), n_trials=st.integers(1, 40))
+def test_step_events_match_readouts(inputs, seed, n_trials):
+    assert set(STEP_EVENT_RULES) == set(STEP_EVENTS)
+    klass, profile, setpoint, config, link = inputs
+    render = cli._trial_renderer(config, klass, setpoint)
+    steps = []
+
+    def log(batch) -> None:  # the steps a --per-trial run logs
+        steps.extend(step for text in render(batch) for step in json.loads(text)["steps"])
+
+    try:
+        monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER, on_batch=log)
+    except ValueError:  # inputs no specimen or ladder may have
+        return
+    for step in steps:
+        assert STEP_EVENT_RULES[step["event"]](step), step
+
+
 def same_bits(a, b) -> bool:
     """a and b are the same float, bit for bit, or else equal."""
     if isinstance(a, float) and isinstance(b, float):
@@ -616,10 +661,12 @@ def test_monte_carlo_checks_its_inputs_once(klass, n_trials):
     assert build.call_count <= 1
 
 
-def batched_peak_growth(klass):
-    """tracemalloc peak of a summary-only monte_carlo at 20000 trials, less
-    the peak at 2000."""
+@pytest.mark.parametrize(
+    "klass", [AttenuatorClass.FIXED, AttenuatorClass.MEMS_VOA, AttenuatorClass.VDMC_VOA]
+)
+def test_batched_memory_does_not_grow_with_trials(klass):
     def peak_bytes(n_trials):
+        """tracemalloc peak of a summary-only monte_carlo run."""
         tracemalloc.start()
         try:
             monte_carlo(CampaignConfig(), klass, n_trials=n_trials, seed=1)
@@ -627,17 +674,9 @@ def batched_peak_growth(klass):
         finally:
             tracemalloc.stop()
 
-    return peak_bytes(20000) - peak_bytes(2000)
-
-
-def test_batched_memory_does_not_grow_with_trials():
-    # Only the trial seeds and the successes' two float lists grow, by
-    # ~0.5 MiB over these 18000 trials; arrays over all trials and rungs at
-    # once would add ~35 MiB.
-    assert batched_peak_growth(AttenuatorClass.FIXED) < 2 * 2**20
-
-
-def test_batched_vdmc_memory_does_not_grow_with_trials():
-    # ~0.85 MiB: VDMC succeeds in about 70% of trials, so its two float
-    # lists are longer
-    assert batched_peak_growth(AttenuatorClass.VDMC_VOA) < 2 * 2**20
+    # From 2000 to 20000 trials only the seed array grows, by 8 bytes a
+    # trial: ~0.14 MiB. Seeds as Python ints and lists of each success's
+    # values grew 1.1-1.6 MiB, and arrays over all trials and rungs at once
+    # would add ~35 MiB.
+    peak_bytes(2000)  # imports and numpy's first-use allocations
+    assert peak_bytes(20000) - peak_bytes(2000) < 2**19

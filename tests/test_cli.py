@@ -657,6 +657,16 @@ def test_hidden_infinite_drop_reads_finite_in_one_trial(tmp_path: Path, klass, f
     assert {step["attenuation_after_db"] for step in doc["steps"]} == {shown_db}
 
 
+@pytest.mark.parametrize("run", [("--trials", "1", "--seed", "0"), ("--trials", "200", "--per-trial")])
+def test_mems_drop_below_its_band_logs_no_permanent_drop(run):
+    # susceptible specimens are damaged, but below the band none of it shows
+    code, out, err = run_in_process("campaign", "--class", "mems-voa", "--setpoint-db", "5", *run)
+    assert code == 0, err
+    doc = json.loads(out)
+    events = {step["event"] for trial in doc.get("trials", [doc]) for step in trial["steps"]}
+    assert "PermanentDrop" not in events
+
+
 @pytest.mark.parametrize("trials", ["1", "3"])
 def test_negative_seed_exits_2_naming_it(trials):
     code, out, err = run_in_process("campaign", "--class", "fixed", "--trials", trials, "--seed", "-1")

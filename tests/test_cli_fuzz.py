@@ -4,8 +4,9 @@ in-process through cli.main.
 Every value is drawn from the edges of the float and int ranges (±inf, NaN,
 ±1e308, denormals, 0, ±3100, whole numbers up to 10**20) and from ordinary
 values; a profile field may also be null, a string or `true`. Whatever the
-input, a run must exit 0, 2 or 3 without any other exception, and a run that
-succeeds must write strict JSON, with the requested number of trials, or CSV
+input, a run must exit 0, 2 or 3 without any other exception, never because
+strict JSON rejects a value, and a run that succeeds must write strict JSON,
+with the requested number of trials, or CSV
 with the requested number of rows, every value finite, and raise no
 RuntimeWarning.
 
@@ -63,10 +64,10 @@ def flags(**values) -> st.SearchStrategy[list[str]]:
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with (
         contextlib.redirect_stdout(out),
-        contextlib.redirect_stderr(io.StringIO()),
+        contextlib.redirect_stderr(err),
         warnings.catch_warnings(record=True) as caught,
     ):
         warnings.simplefilter("always")
@@ -75,6 +76,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         except SystemExit as exc:  # argparse and flag validation
             code = exc.code
     assert code in (0, 2, 3), (argv, code)
+    # strict JSON rejects only inf and nan, which come of no input check
+    assert "not JSON compliant" not in err.getvalue(), argv
     if code != 0:
         assert out.getvalue() == "", argv
     else:  # a numpy warning in a run that succeeds is a result of inf or nan
@@ -176,21 +179,45 @@ PROFILE_FIELDS = [f.name for f in dataclasses.fields(DamageProfile)]
 NULLABLE = {"attack_threshold_dbm", "failure_threshold_dbm"}
 
 
+# (class, profile overrides, flags); the flags decide where a profile's drops
+# show: the setting and the cool-down.
+CONFIG_CASES = st.tuples(
+    st.sampled_from(CLASSES),
+    st.dictionaries(st.sampled_from(PROFILE_FIELDS), FIELD_VALUES, max_size=3),
+    flags(**dict.fromkeys(["--setpoint-db", "--cooldown-s"], VALUES)),
+)
+# An infinite drop with a field or flag that hides all of it: a cool-down
+# that undoes it (1e308 s, or a recovery_tau_s of 0) or a MEMS setting below
+# the damage band. The drop is drawn, or scaled by the heat, past the float
+# range from a mean at or near -inf. By its draw weights CONFIG_CASES draws
+# such a profile and flag together about once in 1e5 examples, so they are
+# also drawn on purpose.
+HIDERS = [
+    ("fixed", {"recovery_tau_s": 0}, []),
+    ("fixed", {}, ["--cooldown-s=1e308"]),
+    ("mems-voa", {}, ["--setpoint-db=5"]),
+]
+INFINITE_DROPS = [
+    {"success_delta_db_mean": -math.inf},
+    {"success_delta_db_mean": -1.79e308},
+    {"success_delta_db_mean": -1.79e308, "success_delta_db_spread": 0.99e308},
+]
+HIDDEN_DROP_CASES = st.builds(
+    lambda hider, drop: (hider[0], {**hider[1], **drop}, hider[2]),
+    st.sampled_from(HIDERS),
+    st.sampled_from(INFINITE_DROPS),
+)
+
+
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "profiles.json"
 
 
 @FUZZ
-@given(
-    klass=st.sampled_from(CLASSES),
-    trials=TRIALS,
-    switches=SWITCHES,
-    overrides=st.dictionaries(st.sampled_from(PROFILE_FIELDS), FIELD_VALUES, max_size=3),
-    # flags that decide where a profile's drops show: the setting and the cool-down
-    argv=flags(**dict.fromkeys(["--setpoint-db", "--cooldown-s"], VALUES)),
-)
-def test_campaign_config_fields(config_path, klass, trials, switches, overrides, argv):
+@given(case=CONFIG_CASES | HIDDEN_DROP_CASES, trials=TRIALS, switches=SWITCHES)
+def test_campaign_config_fields(config_path, case, trials, switches):
+    klass, overrides, argv = case
     # json.dumps writes inf and nan as the Infinity and NaN that json.load reads
     config_path.write_text(json.dumps({"profiles": {klass: overrides}}))
     code, out = run([
