@@ -384,7 +384,7 @@ def _vdmc_dip_weight(point: VdmcPoint, setting_db: float) -> float:
 def attenuation(state: AttenuatorState, control: float | None = None) -> float:
     """Reported attenuation (dB) at a control setting, default the setpoint."""
     if state.destroyed:
-        return state.blocked_db
+        return max(state.blocked_db, state.profile.insertion_loss_floor_db)
     if control is None:
         control = state.control
     return _ATTENUATION[state.klass](state, control)
@@ -411,7 +411,7 @@ def _fixed_attenuation(state: AttenuatorState, control: float) -> float:
 def _mems_attenuation(state: AttenuatorState, control: float) -> float:
     baseline = mems_voltage_to_attenuation(control)
     return max(
-        baseline + _mems_band_offset(state, baseline) + state.thermal_offset_db,
+        baseline + _mems_band_offset(state, baseline),
         state.profile.insertion_loss_floor_db,
     )
 
@@ -419,7 +419,7 @@ def _mems_attenuation(state: AttenuatorState, control: float) -> float:
 def _vdmc_attenuation(state: AttenuatorState, control: float) -> float:
     # baseline is the calibrated identity curve plus the exposed point's dip
     _check_setting(state.klass, control)
-    value = control + state.thermal_offset_db + _vdmc_dip_db(state.vdmc_point, control)
+    value = control + _vdmc_dip_db(state.vdmc_point, control)
     return max(value, state.profile.insertion_loss_floor_db)
 
 
@@ -646,8 +646,10 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
 # campaign stops; later rungs are not meaningful. The ladder's delivered power
 # never falls, so a manual, fixed or MEMS specimen over a threshold at one
 # rung is over it at every later one: its construction draws alone decide
-# every rung. A VDMC specimen's exposure history does carry from rung to rung,
-# so its readout steps through the rungs in order. A 0 W rung changes nothing.
+# every rung. A VDMC point's tier times never fall either, so a point that
+# clears the damage law stays cleared: its readout sums tier times over the
+# ladder, draws the dip on the first clearing rung and counts the deepenings
+# after it, for all rungs at once. A 0 W rung changes nothing.
 
 _KIND_CODE = {kind: code for code, kind in enumerate(OutcomeKind)}
 _NO_CHANGE_CODE = _KIND_CODE[OutcomeKind.NO_CHANGE]
@@ -674,7 +676,7 @@ def _fixed_readout(specimens, baseline, p_w, p_dbm, config):
         offset = np.where(heated, specimens.drop_db * scale, 0.0)
     cooled = _cooled_offset(offset, profile.recovery_tau_s, config.cooldown_s)
     floor = profile.insertion_loss_floor_db
-    blocked = setpoint + specimens.failure_increase_db
+    blocked = _maximum(setpoint + specimens.failure_increase_db, floor)
     immediate = np.where(destroyed, blocked, _maximum(setpoint + offset, floor))
     after = np.where(destroyed, blocked, _maximum(setpoint + cooled, floor))
     events = np.select(
@@ -695,7 +697,8 @@ def _mems_readout(specimens, baseline, p_w, p_dbm, config):
         level + _mems_band_drop(specimens.drop_db, level, level),
         specimens.profile.insertion_loss_floor_db,
     )
-    after = np.where(destroyed, MEMS_BLOCKED_DB, np.where(damaged, damaged_db, baseline))
+    blocked = max(MEMS_BLOCKED_DB, specimens.profile.insertion_loss_floor_db)
+    after = np.where(destroyed, blocked, np.where(damaged, damaged_db, baseline))
     # the drop is reported on the first damaged rung only, where it shows
     first_damage = damaged & (damaged_db < baseline)
     first_damage[:, 1:] &= ~damaged[:, :-1]
@@ -708,64 +711,43 @@ def _mems_readout(specimens, baseline, p_w, p_dbm, config):
 
 
 def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
-    # A specimen's one disk point, at its control: the fields of its
-    # vdmc_point are carried as arrays over the specimens and updated as
-    # _exposed_vdmc_point updates them. A specimen draws its dip once, from
-    # the batch's unexposed point, on the rung where it first clears the law.
+    # A specimen's one disk point, at its control. Tier times sum the dwells
+    # in _exposed_vdmc_point's order; 0 W rungs, apply_exposure's no-ops,
+    # reach no tier and add 0.0.
     control = specimens.control
-    floor = specimens.profile.insertion_loss_floor_db
-    n = len(specimens.seed)
-    thr = specimens.sampled_attack_threshold_dbm[:, 0]
-    tier_thr = [thr + off for off in VDMC_TIER_OFFSETS_DB]
-    tier_times = [np.zeros(n) for _ in VDMC_TIER_TIMES_S]
+    thr = specimens.sampled_attack_threshold_dbm
+    cleared = np.logical_or.reduce([
+        np.add.accumulate(np.where(p_dbm >= thr + off, config.dwell_s, 0.0), axis=1) >= t_req
+        for off, t_req in zip(VDMC_TIER_OFFSETS_DB, VDMC_TIER_TIMES_S)
+    ])
+    first = np.count_nonzero(~cleared, axis=1)  # the first clearing rung, or len(p_w)
+    n = len(first)
     damaged = np.zeros(n, dtype=bool)
-    resistant = np.zeros(n, dtype=bool)
-    count = np.zeros(n, dtype=int)
     depth = np.zeros(n)
-    weight = np.zeros(n)  # _vdmc_dip_weight at the setting, 0 until damaged
-    # VDMC_DEEPEN_FACTOR ** count as the scalar engine computes it, by count
-    factors = np.array([VDMC_DEEPEN_FACTOR ** c for c in range(len(p_w) + 1)])
-    dip = np.empty((n, len(p_w)))
-    events = np.full((n, len(p_w)), _NO_CHANGE_CODE)
-
-    def measured(depth_db):
-        """_measured_vdmc_delta of each specimen's point at depth_db."""
-        return _maximum(control + depth_db * weight, floor) - max(control, floor)
-
-    # max_w is the previous rung's power, the highest seen, as power never falls.
-    # So 0 W rungs, apply_exposure's no-ops, only open the ladder: at -inf dBm one
-    # reaches no tier, so it clears no point, and 0 > max_w + margin is false.
-    for j, (w, dbm, max_w) in enumerate(zip(p_w.tolist(), p_dbm.tolist(), [0.0, *p_w.tolist()])):
-        tier_times = [
-            np.where(dbm >= t_thr, t + config.dwell_s, t)
-            for t, t_thr in zip(tier_times, tier_thr)
-        ]
-        deepen = damaged & _vdmc_deepens(w, max_w)
-        count += deepen
-        shallower = depth
-        depth = np.where(deepen, _vdmc_deepened(depth, factors[count]), depth)
-        cleared = np.logical_or.reduce(
-            [t >= t_req for t, t_req in zip(tier_times, VDMC_TIER_TIMES_S)]
-        )
-        drawn = np.zeros(n, dtype=bool)
-        for i in np.flatnonzero(cleared & ~damaged & ~resistant).tolist():
-            point = _drawn_vdmc_point(
-                specimens, specimens.seed[i], specimens.vdmc_point, optimal=dbm >= thr[i]
-            )
-            if point.damaged:
-                damaged[i] = drawn[i] = True
-                depth[i] = point.depth_db
-                weight[i] = _vdmc_dip_weight(point, control)
-            else:
-                resistant[i] = True
-        if deepen.any() or drawn.any():
-            now = measured(depth)
-            dropped = (drawn & (now < 0)) | (deepen & (now - measured(shallower) < 0))
-            events[dropped, j] = _PERMANENT_DROP_CODE
-        dip[:, j] = depth * weight
+    weight = np.zeros(n)  # _vdmc_dip_weight at the setting, 0 unless damaged
+    # the dip is drawn from the batch's unexposed point on the first clearing rung
+    for i in np.flatnonzero(first < len(p_w)).tolist():
+        optimal = p_dbm[first[i]] >= thr[i, 0]
+        point = _drawn_vdmc_point(specimens, specimens.seed[i], specimens.vdmc_point, optimal)
+        if point.damaged:
+            damaged[i], depth[i], weight[i] = True, point.depth_db, _vdmc_dip_weight(point, control)
+    # a damaged point deepens on each later rung that tops the one before, the
+    # highest power it saw, as power never falls
+    rung = np.arange(len(p_w))
+    highest_w = np.append(0.0, p_w)[:-1]  # 0.0 before the first rung
+    deepen = damaged[:, None] & (rung > first[:, None]) & _vdmc_deepens(p_w, highest_w)
+    count = np.cumsum(deepen, axis=1)
+    depths = [depth]
+    for c in range(1, count.max(initial=0) + 1):
+        depths.append(_vdmc_deepened(depths[-1], VDMC_DEEPEN_FACTOR ** c))
+    depth = np.take_along_axis(np.stack(depths, axis=1), count, axis=1)
+    dip = np.where(rung >= first[:, None], depth * weight[:, None], 0.0)
     # no exposure heats a VDMC, so after equals immediate
-    after = _maximum(control + dip, floor)
-    return after, after, events
+    after = _maximum(control + dip, specimens.profile.insertion_loss_floor_db)
+    # after - baseline is _measured_vdmc_delta: 0 before the draw and held
+    # between the draw and each deepening, so a drop is where it falls
+    fell = np.diff(after - baseline, axis=1, prepend=0.0) < 0
+    return after, after, np.where(fell, _PERMANENT_DROP_CODE, _NO_CHANGE_CODE)
 
 
 BATCH_READOUT = {

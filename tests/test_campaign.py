@@ -331,7 +331,7 @@ def batched_inputs(draw):
         "failure_probability": failure_p,
         "recovery_tau_s": draw(usually(150.0, [0.0], 0.0, 500.0)),
         "insertion_loss_floor_db": draw(
-            usually(default.insertion_loss_floor_db, [0.0, 25.0, 40.0], 0.0, 40.0)
+            usually(default.insertion_loss_floor_db, [0.0, 25.0, 40.0, 80.0], 0.0, 80.0)
         ),
     }
     if klass is AttenuatorClass.MANUAL_VOA:
@@ -551,6 +551,25 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
     ),
     seed=13, n_trials=20, batch=7,
 )
+# a floor above every blocked level: a destroyed specimen reads the floor,
+# as it did before exposure, and still fails critically
+@example(
+    inputs=(
+        AttenuatorClass.FIXED,
+        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], insertion_loss_floor_db=80.0,
+                success_probability=0.0, failure_probability=1.0),
+        25.0, CampaignConfig(), LINK_20M,
+    ),
+    seed=19, n_trials=10, batch=4,
+)
+@example(
+    inputs=(
+        AttenuatorClass.MEMS_VOA,
+        replace(DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], insertion_loss_floor_db=80.0),
+        30.0, CampaignConfig(), LINK_20M,
+    ),
+    seed=20, n_trials=20, batch=7,
+)
 # a whole-number floor, as a JSON config gives it, above the setpoint
 @example(
     inputs=(VDMC, replace(VDMC_PROFILE, insertion_loss_floor_db=60), 53.0, CampaignConfig(),
@@ -578,15 +597,21 @@ def test_batched_vdmc_adds_each_dwell():
         assert_engines_agree((VDMC, VDMC_PROFILE, 53.0, config, LINK_20M), 11, 20, 7)
 
 
-# What each step event says of the step's readouts. A temporary drop may
-# show none: the floor can hide it, and with no cool-down a capped drop
-# stays where the rung before left it.
+# What each step event says of the step's readouts, given the profile's
+# insertion-loss floor. A temporary drop may show none: the floor can hide
+# it, and with no cool-down a capped drop stays where the rung before left
+# it. A critical failure raises the readout unless the floor holds it.
 STEP_EVENT_RULES = {
-    "PermanentDrop": lambda step: step["delta_db"] < 0,
-    "TemporaryDrop": lambda step: step["attenuation_immediate_db"] <= step["attenuation_before_db"],
-    "CriticalFailure": lambda step: step["attenuation_after_db"] > step["attenuation_before_db"],
-    "FuseTrip": lambda step: step["delta_db"] == 0 and step["duration_s"] == 0,
-    "NoChange": lambda step: step["delta_db"] == 0,
+    "PermanentDrop": lambda step, floor: step["delta_db"] < 0,
+    "TemporaryDrop": lambda step, floor: (
+        step["attenuation_immediate_db"] <= step["attenuation_before_db"]
+    ),
+    "CriticalFailure": lambda step, floor: (
+        step["attenuation_after_db"] > step["attenuation_before_db"]
+        or step["attenuation_after_db"] == step["attenuation_before_db"] == floor
+    ),
+    "FuseTrip": lambda step, floor: step["delta_db"] == 0 and step["duration_s"] == 0,
+    "NoChange": lambda step, floor: step["delta_db"] == 0,
 }
 
 
@@ -618,7 +643,7 @@ def test_step_events_match_readouts(inputs, seed, n_trials):
     except ValueError:  # inputs no specimen or ladder may have
         return
     for step in steps:
-        assert STEP_EVENT_RULES[step["event"]](step), step
+        assert STEP_EVENT_RULES[step["event"]](step, profile.insertion_loss_floor_db), step
 
 
 def same_bits(a, b) -> bool:

@@ -103,6 +103,24 @@ class TestCampaign:
         assert doc["summary"]["critical_failure_rate"] == 0.0
         assert doc["summary"]["success_rate"] > 0.5
 
+    @pytest.mark.parametrize("klass", ["fixed", "mems-voa"])
+    def test_destroyed_specimen_reads_at_least_its_floor(self, tmp_path: Path, klass):
+        # an 80 dB floor lies above every blocked level; a destroyed specimen
+        # once read below it, and its drop counted as a success
+        cfg = tmp_path / "floor.json"
+        cfg.write_text(json.dumps({"profiles": {klass: {
+            "insertion_loss_floor_db": 80, "success_probability": 0.0, "failure_probability": 1.0,
+        }}}))
+        args = ("campaign", "--class", klass, "--seed", "1", "--config", str(cfg))
+        code, out, err = run_in_process(*args, "--trials", "200")
+        assert code == 0, err
+        assert json.loads(out)["summary"]["critical_failure_rate"] == 1.0
+        code, out, err = run_in_process(*args, "--trials", "1")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["outcome"] == "CriticalFailure"
+        assert doc["steps"][-1]["attenuation_after_db"] == 80.0
+
     def test_byte_identical_reruns(self):
         args = ("campaign", "--class", "mems-voa", "--trials", "25", "--seed", "3",
                 "--per-trial")
