@@ -285,15 +285,19 @@ def new_attenuator(
     control = setpoint_db
     if klass is AttenuatorClass.MEMS_VOA:
         control = mems_attenuation_to_voltage(setpoint_db)
-    draws = _draws(klass, profile, seed)
+    rng = None if klass is AttenuatorClass.MANUAL_VOA else np.random.default_rng(seed)
+    draws = _draws(klass, profile, rng)
     return AttenuatorState(klass, profile, int(seed), float(setpoint_db), float(control), *draws)
 
 
 def specimen_batch(first: AttenuatorState, seeds: list[int]) -> AttenuatorState:
-    """Fresh specimens of first's class, profile and setpoint, one per seed,
-    as one state: its `seed` is the list of seeds, and its other drawn
-    fields, _draws's values, are (n, 1) columns."""
-    draws = zip(*(_draws(first.klass, first.profile, seed) for seed in seeds))
+    """Fresh specimens of first's class, profile and setpoint, one per seed
+    below 2**64, as one state: its `seed` is the list of seeds, and its
+    other drawn fields, _draws's values, are (n, 1) columns, drawn from
+    new_attenuator's default_rng streams, seeded in bulk."""
+    manual = first.klass is AttenuatorClass.MANUAL_VOA
+    rngs = [None] * len(seeds) if manual else _seeded_generators(seeds)
+    draws = zip(*(_draws(first.klass, first.profile, rng) for rng in rngs))
     columns = (np.array(values)[:, None] for values in draws)
     return AttenuatorState(
         first.klass, first.profile, seeds, first.setpoint_db, first.control, *columns
@@ -325,16 +329,17 @@ def specimen_inputs(
     return profile, setpoint_db
 
 
-def _draws(klass: AttenuatorClass, profile: DamageProfile, seed: int) -> tuple:
-    """A specimen's seeded values: its two sampled thresholds, fate, drop_db
-    and failure_increase_db, in AttenuatorState's field order.
+def _draws(klass: AttenuatorClass, profile: DamageProfile, rng) -> tuple:
+    """A specimen's values drawn from its generator `rng`: its two sampled
+    thresholds, fate, drop_db and failure_increase_db, in AttenuatorState's
+    field order.
 
-    A manual VOA draws nothing, as no code reads its values: its thresholds
-    are inf and its fate RESISTANT whatever its profile, so a finite manual
-    threshold in a caller's profile does not show in the sampled ones."""
+    A manual VOA, whose `rng` is None, draws nothing, as no code reads its
+    values: its thresholds are inf and its fate RESISTANT whatever its
+    profile, so a finite manual threshold in a caller's profile does not
+    show in the sampled ones."""
     if klass is AttenuatorClass.MANUAL_VOA:
         return math.inf, math.inf, Fate.RESISTANT, 0.0, 0.0
-    rng = np.random.default_rng(seed)
     d = THRESHOLD_DISPERSION_DBM
     # drawn even where unused, so the draw sequence is the same for every class
     thr_a = profile.attack_threshold_dbm + rng.uniform(-d, d)
@@ -545,7 +550,8 @@ def _exposed_vdmc_point(
             return deeper, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
         return deeper, _NO_CHANGE
 
-    point = _drawn_vdmc_point(new, new.seed, point, optimal=p_dbm >= thr)
+    rng = np.random.default_rng([new.seed, *_dip_tail(new.control)])
+    point = _drawn_vdmc_point(new, rng, point, optimal=p_dbm >= thr)
     if not point.damaged:
         return point, _NO_CHANGE
     delta = _measured_vdmc_delta(new, point)
@@ -564,14 +570,19 @@ def _vdmc_deepened(depth_db, factor):
     return depth_db + depth_db * factor
 
 
+def _dip_tail(control: float) -> tuple[int, int]:
+    """What follows a specimen's seed in the entropy of its dip draw: its
+    point's key, the control in milli-dB, so every exposure draws the same,
+    and a tag."""
+    return abs(round(control * 1000)), 0x5D
+
+
 def _drawn_vdmc_point(
-    state: AttenuatorState, seed: int, point: VdmcPoint, optimal: bool
+    state: AttenuatorState, rng, point: VdmcPoint, optimal: bool
 ) -> VdmcPoint:
-    """`point` of the specimen of `seed` after an exposure that clears the
-    law: unchanged if the point is not vulnerable, else damaged with a dip.
-    The draw is seeded by the point's key, its setting in milli-dB, so every
-    exposure draws the same. `state` gives the profile and control."""
-    rng = np.random.default_rng([seed, abs(round(state.control * 1000)), 0x5D])
+    """`point` after an exposure that clears the law: unchanged if the point
+    is not vulnerable, else damaged with a dip, drawn from `rng`, seeded by
+    the specimen's seed and _dip_tail. `state` gives the profile and control."""
     profile = state.profile
     if not rng.random() < profile.success_probability:
         return point
@@ -634,6 +645,88 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
     return offset_db * factor if factor > 0 else 0.0
 
 
+# --- bulk seeding -----------------------------------------------------------
+# np.random.default_rng(entropy) hashes its entropy with a SeedSequence and
+# seeds a PCG64 from four uint64 words of the sequence's state. The hash is
+# uint32 arithmetic, the same for every row of entropy words, so numpy's
+# algorithm (numpy/random/bit_generator.pyx and pcg64.h) runs here over many
+# rows at once, and each row's PCG64 state is set on one reused Generator:
+# its draws are those of default_rng(entropy), bit for bit.
+
+# SeedSequence's hash constants: pool mixing (A, MIX) and state output (B)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(values, init: int, mult: int, start: int = 0):
+    """SeedSequence's hashmix of the uint32 `values`, one call after another
+    along the last axis: call i XORs hash constant init * mult**i and then
+    multiplies by the next one, mod 2**32, with i counted from `start`."""
+    consts = np.full(values.shape[-1] + 1, mult, dtype=np.uint32)
+    consts[0] = init * pow(mult, start, 2**32) % 2**32
+    consts = np.multiply.accumulate(consts, dtype=np.uint32)
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    return values ^ (values >> 16)
+
+
+def _seed_pools(entropy):
+    """SeedSequence(row).pool of each row of `entropy`, an (n, 4) uint32
+    array of 1 to 4 entropy words, zero-padded: an unfilled pool word is
+    mixed from 0, so the padding changes nothing."""
+    pool = _hashmix(entropy, _INIT_A, _MULT_A)
+    calls = _POOL_SIZE
+    # each word's hash is mixed into the other three, in order
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[:, [src] * len(dst)], _INIT_A, _MULT_A, calls)
+        mixed = _MIX_MULT_L * pool[:, dst] - _MIX_MULT_R * hashed
+        pool[:, dst] = mixed ^ (mixed >> 16)
+        calls += len(dst)
+    return pool
+
+
+def seed_state_words(pool, start: int, count: int):
+    """uint64 words start .. start + count - 1 of SeedSequence.generate_state
+    over `pool`, a SeedSequence's 4 pool words or rows of them, computed
+    from `start` alone."""
+    index = np.arange(2 * start, 2 * (start + count))
+    words = _hashmix(pool[..., index % _POOL_SIZE], _INIT_B, _MULT_B, 2 * start).astype(np.uint64)
+    # each uint64 is a pair of uint32 words, the first low on any machine
+    return words[..., 0::2] | (words[..., 1::2] << np.uint64(32))
+
+
+def _seeded_generators(seeds: list[int], tail: tuple[int, ...] = ()):
+    """Yield, for each seed below 2**64, a Generator in the state
+    np.random.default_rng([seed, *tail]) starts in, for at most two tail
+    ints below 2**32. It is one Generator, reseeded for each seed, so each
+    must be done with before the next."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    # SeedSequence's entropy words, each int low word first; a seed below
+    # 2**32 is one word, so the tail follows it at once
+    words = np.zeros((len(seeds), _POOL_SIZE), dtype=np.uint32)
+    words[:, 0] = seeds % 2**32
+    words[:, 1] = seeds >> np.uint64(32)
+    at = np.where(words[:, 1] > 0, 2, 1)
+    for i, value in enumerate(tail):
+        words[np.arange(len(seeds)), at + i] = value
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    # the state setter copies the values out, so one dict serves every seed
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, q_hi, q_lo in seed_state_words(_seed_pools(words), 0, 4).tolist():
+        # pcg64_set_seed: initstate s, initseq q, each from its high word
+        pcg["inc"] = inc = (2 * (q_hi << 64 | q_lo) + 1) % 2**128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
+        bit_generator.state = full
+        yield generator
+
+
 # --- batched readouts -------------------------------------------------------
 # One function per class reads a batch of fresh specimens, as specimen_batch
 # builds it, at every exposed rung of a campaign's power ladder at once,
@@ -649,7 +742,9 @@ def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
 # every rung. A VDMC point's tier times never fall either, so a point that
 # clears the damage law stays cleared: its readout sums tier times over the
 # ladder, draws the dip on the first clearing rung and counts the deepenings
-# after it, for all rungs at once. A 0 W rung changes nothing.
+# after it, for all rungs at once. The dips of a batch are seeded in bulk,
+# as its specimens are, with the streams the scalar model's default_rng
+# gives. A 0 W rung changes nothing.
 
 _KIND_CODE = {kind: code for code, kind in enumerate(OutcomeKind)}
 _NO_CHANGE_CODE = _KIND_CODE[OutcomeKind.NO_CHANGE]
@@ -726,9 +821,11 @@ def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
     depth = np.zeros(n)
     weight = np.zeros(n)  # _vdmc_dip_weight at the setting, 0 unless damaged
     # the dip is drawn from the batch's unexposed point on the first clearing rung
-    for i in np.flatnonzero(first < len(p_w)).tolist():
+    clearing = np.flatnonzero(first < len(p_w)).tolist()
+    seeds = [specimens.seed[i] for i in clearing]
+    for i, rng in zip(clearing, _seeded_generators(seeds, _dip_tail(control))):
         optimal = p_dbm[first[i]] >= thr[i, 0]
-        point = _drawn_vdmc_point(specimens, specimens.seed[i], specimens.vdmc_point, optimal)
+        point = _drawn_vdmc_point(specimens, rng, specimens.vdmc_point, optimal)
         if point.damaged:
             damaged[i], depth[i], weight[i] = True, point.depth_db, _vdmc_dip_weight(point, control)
     # a damaged point deepens on each later rung that tops the one before, the

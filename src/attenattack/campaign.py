@@ -35,6 +35,7 @@ from .attenuators import (
     attenuation,
     cool_down,
     new_attenuator,
+    seed_state_words,
     specimen_batch,
 )
 from .impact import DEFAULT_FAILURE_THRESHOLD_DB, DEFAULT_SUCCESS_THRESHOLD_DB
@@ -46,8 +47,9 @@ SCHEMA_VERSION = 1
 # Most rungs a power ladder may hold; the default ladder has 30.
 MAX_RUNGS = 2000
 
-# Most trials a Monte Carlo run may hold. All seeds are drawn up front, 8 MB at
-# this count, so a count far beyond it fails allocating them or runs for hours.
+# Most trials a Monte Carlo run may hold. Each batch draws its own seeds, so
+# memory does not bound the count, but a run of this many takes tens of
+# seconds, and one far beyond it would run for hours.
 MAX_TRIALS = 10**6
 
 # The injection link of a campaign given none: a 20 m patch fiber.
@@ -271,11 +273,18 @@ class MonteCarloSummary:
         return asdict(self)
 
 
-def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
-    """Independent per-trial seeds, a uint64 array, by SeedSequence state expansion."""
+def _check_seed(master_seed: int) -> None:
     if master_seed < 0:
         raise ValueError(f"seed must be >= 0, got {master_seed}")
-    return np.random.SeedSequence(master_seed).generate_state(n_trials, dtype=np.uint64)
+
+
+def trial_seeds(master_seed: int, n_trials: int, offset: int = 0) -> np.ndarray:
+    """Independent seeds of trials offset .. offset + n_trials - 1, a uint64
+    array, by SeedSequence state expansion: the words of
+    SeedSequence(master_seed).generate_state(offset + n_trials, np.uint64)
+    from `offset` on, computed without those before it."""
+    _check_seed(master_seed)
+    return seed_state_words(np.random.SeedSequence(master_seed).pool, offset, n_trials)
 
 
 # Trials the batched engine reads at once. Its arrays are trials x rungs, so
@@ -321,11 +330,13 @@ def _batched_trials(
     klass: AttenuatorClass,
     profile: DamageProfile | None,
     setpoint_db: float | None,
-    seeds: np.ndarray,
+    seed: int,
+    n_trials: int,
     link: FiberLink,
     laser: LaserSource,
 ):
-    """Yield a TrialBatch per batch of trials, one per trial_seeds seed.
+    """Yield a TrialBatch per batch of the n_trials trials of master `seed`,
+    each trial seeded by trial_seeds.
 
     Each trial's values and steps are those run_campaign gives its specimen.
     """
@@ -340,8 +351,9 @@ def _batched_trials(
     n_exposed = len(rungs) - fused
     duration = np.where(fuse, 0.0, config.dwell_s)
     readout = BATCH_READOUT[klass]
-    for lo in range(0, len(seeds), _BATCH_TRIALS):
-        specimens = specimen_batch(first, seeds[lo:lo + _BATCH_TRIALS].tolist())
+    for lo in range(0, n_trials, _BATCH_TRIALS):
+        seeds = trial_seeds(seed, min(_BATCH_TRIALS, n_trials - lo), lo)
+        specimens = specimen_batch(first, seeds.tolist())
         n = len(specimens.seed)
         # A value past the float range becomes inf without a warning, as in
         # run_campaign's float arithmetic; the readouts also compute values
@@ -409,17 +421,28 @@ def monte_carlo(
     """Run independent seeded campaigns and aggregate outcome statistics.
 
     The trials run in batches through the batched engine, which gives each
-    trial the outcome run_campaign gives its specimen. `on_batch`, if given,
-    sees each batch of trials with their steps; no batch outlives its call
-    here. The run keeps one 8-byte seed per trial and running totals.
+    trial the outcome run_campaign gives its specimen; a manual VOA's run
+    without `on_batch` is one run_campaign, counted n_trials times.
+    `on_batch`, if given, sees each batch of trials with their steps; no
+    batch outlives its call here. The run keeps one batch's seeds and
+    running totals.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
+    _check_seed(seed)
+
+    if klass is AttenuatorClass.MANUAL_VOA and on_batch is None:
+        # A manual specimen draws nothing, so every trial runs this one
+        # campaign. Its readout never moves, so the campaign neither
+        # succeeds nor fails: it ends Inconclusive or FiberFuseDoS, and both
+        # means are None. This path loads no numpy.
+        result = run_campaign(config, new_attenuator(klass, profile, setpoint_db), link, laser)
+        rates = (float(outcome is result.outcome) for outcome in OUTCOMES)
+        return MonteCarloSummary(n_trials, *rates, None, None)
 
     tally = np.zeros(len(OUTCOMES), dtype=int)
     delta_sum = power_sum = 0
-    seeds = trial_seeds(seed, n_trials)
-    for batch in _batched_trials(config, klass, profile, setpoint_db, seeds, link, laser):
+    for batch in _batched_trials(config, klass, profile, setpoint_db, seed, n_trials, link, laser):
         tally += np.bincount(batch.codes, minlength=len(OUTCOMES))
         won = batch.codes == _CODE[CampaignOutcome.SUCCESS]
         # in trial order, so the sums add the same floats in the same order

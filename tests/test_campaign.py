@@ -304,10 +304,10 @@ def usually(usual, edges, lo, hi):
 
 
 @st.composite
-def batched_inputs(draw):
-    """(class, profile, setpoint, config, link): a standard campaign, with
-    each input now and then at an edge."""
-    klass = draw(st.sampled_from(BATCHED_CLASSES))
+def batched_inputs(draw, classes=BATCHED_CLASSES):
+    """(class, profile, setpoint, config, link): a standard campaign of one
+    of `classes`, with each input now and then at an edge."""
+    klass = draw(st.sampled_from(classes))
     lo, hi = SETPOINT_RANGES[klass]
     edges = [lo, hi]
     if klass is AttenuatorClass.MEMS_VOA:
@@ -397,7 +397,9 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
             ]
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                list(campaign._batched_trials(config, klass, profile, setpoint, seeds, link, LASER))
+                list(campaign._batched_trials(
+                    config, klass, profile, setpoint, seed, n_trials, link, LASER
+                ))
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER)
             return
@@ -653,6 +655,9 @@ def same_bits(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+@example(klass=AttenuatorClass.FIXED, seeds=[0, 2**32 - 1, 2**32, 2**64 - 1])
+@example(klass=AttenuatorClass.MEMS_VOA, seeds=[0, 2**32 - 1, 2**32, 2**64 - 1])
+@example(klass=AttenuatorClass.VDMC_VOA, seeds=[0, 2**32 - 1, 2**32, 2**64 - 1])
 @settings(max_examples=200, deadline=None)
 @given(
     klass=st.sampled_from(AttenuatorClass),
@@ -673,6 +678,43 @@ def test_specimen_batch_columns_are_new_attenuator_fields(klass, seeds):
                 assert value.shape == (len(seeds), 1)
                 value = value.tolist()[i][0]
             assert same_bits(value, getattr(single, f.name)), f.name
+
+
+@example(master=2**128, offset=0, n_trials=1)
+@example(master=2**130 + 5, offset=10, n_trials=41)
+@example(master=0, offset=campaign.MAX_TRIALS - 1, n_trials=1)
+@settings(max_examples=200, deadline=None)
+@given(
+    # masters of 2**128 and above have more entropy words than the pool
+    master=st.integers(0, 2**64 - 1) | st.integers(2**128, 2**200),
+    offset=st.integers(0, 600) | st.integers(0, campaign.MAX_TRIALS),
+    n_trials=st.integers(1, 300),
+)
+def test_trial_seeds_from_an_offset_are_the_full_arrays_tail(master, offset, n_trials):
+    seeds = trial_seeds(master, n_trials, offset)
+    expected = np.random.SeedSequence(master).generate_state(offset + n_trials, dtype=np.uint64)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == expected[offset:].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inputs=batched_inputs(classes=[AttenuatorClass.MANUAL_VOA]),
+    seed=st.integers(0, 2**64),
+    n_trials=st.integers(1, 600),
+)
+def test_manual_summary_is_the_batched_one(inputs, seed, n_trials):
+    # a summary-only manual run is one campaign; an on_batch forces the
+    # batched engine
+    klass, profile, setpoint, config, link = inputs
+    args = (config, klass, profile, setpoint, n_trials, seed, link, LASER)
+    try:
+        batched = monte_carlo(*args, on_batch=lambda batch: None)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            monte_carlo(*args)
+        return
+    assert monte_carlo(*args) == batched
 
 
 @pytest.mark.parametrize("n_trials", [1, 256, 600])
@@ -699,9 +741,9 @@ def test_batched_memory_does_not_grow_with_trials(klass):
         finally:
             tracemalloc.stop()
 
-    # From 2000 to 20000 trials only the seed array grows, by 8 bytes a
-    # trial: ~0.14 MiB. Seeds as Python ints and lists of each success's
-    # values grew 1.1-1.6 MiB, and arrays over all trials and rungs at once
-    # would add ~35 MiB.
+    # Each batch draws its own seeds, so nothing the run keeps grows from
+    # 2000 to 20000 trials. A seed array over all trials grew ~0.14 MiB,
+    # seeds as Python ints and lists of each success's values 1.1-1.6 MiB,
+    # and arrays over all trials and rungs at once would add ~35 MiB.
     peak_bytes(2000)  # imports and numpy's first-use allocations
     assert peak_bytes(20000) - peak_bytes(2000) < 2**19

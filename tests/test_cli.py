@@ -687,10 +687,27 @@ def test_mems_drop_below_its_band_logs_no_permanent_drop(run):
 
 @pytest.mark.parametrize("trials", ["1", "3"])
 def test_negative_seed_exits_2_naming_it(trials):
-    code, out, err = run_in_process("campaign", "--class", "fixed", "--trials", trials, "--seed", "-1")
-    assert code == 2
-    assert out == ""
-    assert "seed must be >= 0, got -1" in err
+    # a manual VOA's summary-only run takes a path of its own
+    for klass in ("fixed", "manual-voa"):
+        code, out, err = run_in_process(
+            "campaign", "--class", klass, "--trials", trials, "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("klass", [c.value for c in AttenuatorClass])
+def test_one_trial_is_the_first_per_trial_entry(klass):
+    # --trials 1 seeds its specimen with numpy's default_rng, the batched
+    # engine in bulk
+    code, single, err = run_in_process("campaign", "--class", klass, "--trials", "1", "--seed", "5")
+    assert code == 0, err
+    code, multi, err = run_in_process(
+        "campaign", "--class", klass, "--trials", "3", "--per-trial", "--seed", "5"
+    )
+    assert code == 0, err
+    assert json.loads(single) == json.loads(multi)["trials"][0]
 
 
 @pytest.mark.parametrize("trials", [str(campaign.MAX_TRIALS + 1), "1000000000000000", str(10**30)])
@@ -795,7 +812,9 @@ from attenattack.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(["thresholds", "--points", "5"])
     main(["impact", "--delta-db", "-1"])
-    assert "numpy._core" not in sys.modules, "numpy loaded before campaign"
+    # a manual VOA's summary draws nothing, so it needs no numpy
+    main(["campaign", "--class", "manual-voa", "--trials", "1000"])
+    assert "numpy._core" not in sys.modules, "numpy loaded before a drawing campaign"
     main(["campaign", "--class", "vdmc-voa", "--trials", "3", "--per-trial"])
     assert "numpy._core" in sys.modules
     assert "scipy" not in sys.modules, "scipy imported before risk"
