@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -375,5 +376,19 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry of `python -m attenattack` and the console script."""
+    # A run builds no reference cycles that grow with its input, and the
+    # process ends right after it, so the cyclic collector only costs time:
+    # its passes over numpy's objects while numpy imports, and at exit its
+    # walk of every live object. Those exit-time passes run even with the
+    # collector disabled, so the heap is frozen too; atexit handlers still
+    # run. An argparse error leaves main through SystemExit, as before.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import inspect
 import io
@@ -741,10 +742,38 @@ def test_per_trial_memory_grows_only_by_its_text(tmp_path: Path):
     assert growth < large.stat().st_size - small.stat().st_size + 2**20
 
 
+def cyclic_garbage(argv: list[str]) -> int:
+    """Objects gc.collect() frees after cli.main(argv) runs with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("per_trial", [False, True])
+@pytest.mark.parametrize("klass", [k.value for k in AttenuatorClass])
+def test_run_garbage_does_not_grow_with_trials(tmp_path: Path, klass, per_trial):
+    # cli.run keeps the cyclic collector off for the whole process, which is
+    # safe only while the cycles a run leaves do not grow with its input.
+    def argv(n_trials: int) -> list[str]:
+        flags = ["--per-trial"] if per_trial else []
+        return ["campaign", "--class", klass, "--trials", str(n_trials), "--seed", "5",
+                *flags, "--out", str(tmp_path / f"{n_trials}.json")]
+
+    cyclic_garbage(argv(8))  # templates, encoders, imports
+    assert cyclic_garbage(argv(256)) == cyclic_garbage(argv(2560))
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
 def test_main_runs_one_blas_thread_unless_set(preset, expected):
     code = """
-import contextlib, io, os, runpy, sys
+import contextlib, gc, io, os, runpy, sys
 sys.argv = ["attenattack", "impact", "--delta-db", "-1"]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
@@ -752,6 +781,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exc:
         assert exc.code == 0, exc.code
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(gc.isenabled(), gc.get_freeze_count() > 0)
 """
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
@@ -760,11 +790,12 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"))
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == expected + "\n"
+    # the process entry also leaves the collector off and the heap frozen
+    assert cp.stdout == expected + "\nFalse True\n"
 
 
 def test_console_script_runs_one_blas_thread():
-    # The console script calls cli.main without __main__; importing cli must
+    # The console script calls cli.run without __main__; importing cli must
     # not load numpy, so that main can still set the thread count first.
     code = """
 import contextlib, io, os, sys

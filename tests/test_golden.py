@@ -3,12 +3,16 @@
 Every pinned invocation runs here, in-process through cli.main: the
 full-size ones (the 2000-trial --per-trial log, --points 100000 and
 --population 100000) as well as the small ones, all in about a second.
+The two largest also run as `python -m attenattack` children, through the
+process entry cli.run, which an in-process call never reaches.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,15 @@ def test_stdout_matches_golden(key):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(key.split()) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[key]
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["campaign --class mems-voa --trials 2000 --seed 1 --per-trial", "thresholds --points 100000"],
+)
+def test_process_entry_stdout_matches_golden(key):
+    cp = subprocess.run(
+        [sys.executable, "-m", "attenattack", *key.split()], capture_output=True, timeout=120
+    )
+    assert (cp.returncode, cp.stderr) == (0, b"")
+    assert hashlib.sha256(cp.stdout).hexdigest() == GOLDEN[key]
