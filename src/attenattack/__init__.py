@@ -6,9 +6,7 @@ Each export is imported from its module on first use (PEP 562), so
 
 import functools
 import importlib
-import importlib.util
 import operator
-import sys
 
 _EXPORTS = {
     "fiber": (
@@ -70,26 +68,6 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __all__ = [*_MODULE_OF, *_EXPORTS]
 __version__ = "0.1.0"
-
-
-def _lazy_module(name: str):
-    """Module `name`, whose code runs on its first attribute access.
-
-    The stdlib's `importlib.util.LazyLoader` recipe: the modules that do
-    their arithmetic with numpy bind it this way, so a subcommand that never
-    computes with them never loads it. A module already imported is returned
-    as it is.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:  # fail at import, as `import numpy` would
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _left_sum(values, start=0):

@@ -22,13 +22,12 @@ import enum
 import json
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, fields, asdict
 from typing import NamedTuple
 
-from . import _lazy_module
+from ._streams import Generator
 from .fiber import dbm_to_watts, watts_to_dbm
-
-np = _lazy_module("numpy")  # loaded on first use
 
 # Top of the widest control range, dB; no insertion-loss floor may exceed it.
 MAX_ATTENUATION_DB = 80.0
@@ -285,23 +284,9 @@ def new_attenuator(
     control = setpoint_db
     if klass is AttenuatorClass.MEMS_VOA:
         control = mems_attenuation_to_voltage(setpoint_db)
-    rng = None if klass is AttenuatorClass.MANUAL_VOA else np.random.default_rng(seed)
+    rng = None if klass is AttenuatorClass.MANUAL_VOA else Generator(seed)
     draws = _draws(klass, profile, rng)
     return AttenuatorState(klass, profile, int(seed), float(setpoint_db), float(control), *draws)
-
-
-def specimen_batch(first: AttenuatorState, seeds: list[int]) -> AttenuatorState:
-    """Fresh specimens of first's class, profile and setpoint, one per seed
-    below 2**64, as one state: its `seed` is the list of seeds, and its
-    other drawn fields, _draws's values, are (n, 1) columns, drawn from
-    new_attenuator's default_rng streams, seeded in bulk."""
-    manual = first.klass is AttenuatorClass.MANUAL_VOA
-    rngs = [None] * len(seeds) if manual else _seeded_generators(seeds)
-    draws = zip(*(_draws(first.klass, first.profile, rng) for rng in rngs))
-    columns = (np.array(values)[:, None] for values in draws)
-    return AttenuatorState(
-        first.klass, first.profile, seeds, first.setpoint_db, first.control, *columns
-    )
 
 
 def specimen_inputs(
@@ -434,9 +419,9 @@ def _mems_band_offset(state: AttenuatorState, baseline_db: float) -> float:
     return _mems_band_drop(state.drop_db, mems_voltage_to_attenuation(state.control), baseline_db)
 
 
-def _mems_band_drop(drop_db, a0_db: float, baseline_db: float):
-    """The share of a drop, a float or an array, written at attenuation a0_db
-    that shows at baseline_db; none at a weight of 0, even of an infinite drop."""
+def _mems_band_drop(drop_db: float, a0_db: float, baseline_db: float) -> float:
+    """The share of a drop written at attenuation a0_db that shows at
+    baseline_db; none at a weight of 0, even of an infinite drop."""
     span = MEMS_A_MAX - MEMS_A_MIN
     band_lo = MEMS_A_MIN + (1.0 - MEMS_BAND_FRACTION) * span
     taper = MEMS_TAPER_FRACTION * span
@@ -515,59 +500,56 @@ def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOu
 
 
 def _expose_vdmc(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
-    new.vdmc_point, outcome = _exposed_vdmc_point(new, power_w, p_dbm, duration_s)
+    old = new.vdmc_point
+    thr = new.sampled_attack_threshold_dbm
+    times, cleared = _exposed_tier_times(old.tier_times_s, thr, p_dbm, duration_s)
+    new.vdmc_point = old._replace(tier_times_s=times, max_power_w=max(old.max_power_w, power_w))
+    if not cleared:
+        return _NO_CHANGE
+    new.vdmc_point, outcome = _damaged_vdmc_point(
+        new, new.seed, new.vdmc_point, power_w, old.max_power_w, p_dbm >= thr
+    )
     return outcome
 
 
-def _exposed_vdmc_point(
-    new: AttenuatorState, power_w, p_dbm, duration_s
-) -> tuple[VdmcPoint, ExposureOutcome]:
-    old = new.vdmc_point
-    thr = new.sampled_attack_threshold_dbm
-    point = old._replace(
-        tier_times_s=tuple(
-            t + duration_s if p_dbm >= thr + off else t
-            for t, off in zip(old.tier_times_s, VDMC_TIER_OFFSETS_DB)
-        ),
-        max_power_w=max(old.max_power_w, power_w),
+def _exposed_tier_times(times: tuple, thr: float, p_dbm: float, duration_s: float):
+    """A point's tier times after an exposure at p_dbm, given the sampled
+    attack threshold thr, and whether they clear the damage law."""
+    times = tuple(
+        t + duration_s if p_dbm >= thr + off else t for t, off in zip(times, VDMC_TIER_OFFSETS_DB)
     )
-    cleared = any(t >= t_req for t, t_req in zip(point.tier_times_s, VDMC_TIER_TIMES_S))
-    if not cleared:
-        return point, _NO_CHANGE
+    return times, any(t >= t_req for t, t_req in zip(times, VDMC_TIER_TIMES_S))
 
-    if old.damaged:
+
+def _damaged_vdmc_point(
+    state: AttenuatorState, seed: int, point: VdmcPoint, power_w, max_power_w, optimal: bool
+) -> tuple[VdmcPoint, ExposureOutcome]:
+    """`point` of the specimen of `seed` after an exposure at power_w that
+    clears the law, with its outcome: max_power_w is the highest power the
+    point saw before. `state` gives the profile and control."""
+    if point.damaged:
         # repeated exposure at clearly higher power deepens the dip with
         # diminishing returns; damage never self-heals
-        if not _vdmc_deepens(power_w, old.max_power_w):
+        if not power_w > max_power_w + VDMC_DEEPEN_MARGIN_W:
             return point, _NO_CHANGE
-        count = old.deepen_count + 1
+        count = point.deepen_count + 1
         deeper = point._replace(
             deepen_count=count,
-            depth_db=_vdmc_deepened(old.depth_db, VDMC_DEEPEN_FACTOR ** count),
+            depth_db=point.depth_db + point.depth_db * VDMC_DEEPEN_FACTOR ** count,
         )
-        delta = _measured_vdmc_delta(new, deeper) - _measured_vdmc_delta(new, point)
+        delta = _measured_vdmc_delta(state, deeper) - _measured_vdmc_delta(state, point)
         if delta < 0:
             return deeper, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
         return deeper, _NO_CHANGE
 
-    rng = np.random.default_rng([new.seed, *_dip_tail(new.control)])
-    point = _drawn_vdmc_point(new, rng, point, optimal=p_dbm >= thr)
+    rng = Generator([seed, *_dip_tail(state.control)])
+    point = _drawn_vdmc_point(state, rng, point, optimal)
     if not point.damaged:
         return point, _NO_CHANGE
-    delta = _measured_vdmc_delta(new, point)
+    delta = _measured_vdmc_delta(state, point)
     if delta >= 0:
         return point, _NO_CHANGE
     return point, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
-
-
-def _vdmc_deepens(power_w, max_power_w):
-    """Whether a damaged point deepens at power_w, floats or arrays."""
-    return power_w > max_power_w + VDMC_DEEPEN_MARGIN_W
-
-
-def _vdmc_deepened(depth_db, factor):
-    """A dip's depth after a deepening; factor is VDMC_DEEPEN_FACTOR ** count."""
-    return depth_db + depth_db * factor
 
 
 def _dip_tail(control: float) -> tuple[int, int]:
@@ -636,222 +618,102 @@ def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:
     return new
 
 
-def _cooled_offset(offset_db, tau_s: float, elapsed_s: float):
-    """Thermal offset, a float or an array, after cooling for elapsed_s; a
-    factor that underflows to 0 cools fully, even an infinite offset."""
+def _cooled_offset(offset_db: float, tau_s: float, elapsed_s: float) -> float:
+    """Thermal offset after cooling for elapsed_s; a factor that underflows
+    to 0 cools fully, even an infinite offset."""
     if elapsed_s == 0:
         return offset_db
     factor = math.exp(-elapsed_s / tau_s) if tau_s > 0 else 0.0
     return offset_db * factor if factor > 0 else 0.0
 
 
-# --- bulk seeding -----------------------------------------------------------
-# np.random.default_rng(entropy) hashes its entropy with a SeedSequence and
-# seeds a PCG64 from four uint64 words of the sequence's state. The hash is
-# uint32 arithmetic, the same for every row of entropy words, so numpy's
-# algorithm (numpy/random/bit_generator.pyx and pcg64.h) runs here over many
-# rows at once, and each row's PCG64 state is set on one reused Generator:
-# its draws are those of default_rng(entropy), bit for bit.
-
-# SeedSequence's hash constants: pool mixing (A, MIX) and state output (B)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# --- rung readouts -----------------------------------------------------------
+# One function per class takes a fresh specimen `first` of a campaign's class,
+# profile and setpoint, its readout `baseline`, and the delivered watts and
+# dBm of the ladder's exposed rungs, which never fall. It returns a walk, from
+# a specimen's seed to (rung, immediate, after, event) for each rung from the
+# first whose exposure can change the specimen, as run_campaign and
+# apply_exposure give them, bit for bit; each earlier rung reads `baseline`
+# with NoChange. A specimen over a threshold at one rung is over it at every
+# later one, so `bisect` finds that rung. An enum's `value` is slow, so the
+# events are bound once.
+_NO_CHANGE_EVENT, _TEMPORARY_EVENT, _PERMANENT_EVENT, _CRITICAL_EVENT = (
+    kind.value for kind in OutcomeKind
+)
 
 
-def _hashmix(values, init: int, mult: int, start: int = 0):
-    """SeedSequence's hashmix of the uint32 `values`, one call after another
-    along the last axis: call i XORs hash constant init * mult**i and then
-    multiplies by the next one, mod 2**32, with i counted from `start`."""
-    consts = np.full(values.shape[-1] + 1, mult, dtype=np.uint32)
-    consts[0] = init * pow(mult, start, 2**32) % 2**32
-    consts = np.multiply.accumulate(consts, dtype=np.uint32)
-    values = values ^ consts[:-1]
-    values *= consts[1:]
-    return values ^ (values >> 16)
+def _fixed_rungs(first, baseline, p_w, p_dbm, config):
+    profile, setpoint = first.profile, first.setpoint_db
+    floor, tau_s = profile.insertion_loss_floor_db, profile.recovery_tau_s
+    scales = [_fixed_heat_scale(profile, w) for w in p_w]
+
+    def walk(seed):
+        thr_a, thr_f, fate, drop_db, increase_db = _draws(first.klass, profile, Generator(seed))
+        failing = fate is Fate.FAILURE
+        for k in range(bisect_left(p_dbm, thr_a), len(p_w)):
+            if failing and p_dbm[k] >= thr_f:
+                blocked = max(setpoint + increase_db, floor)
+                yield k, blocked, blocked, _CRITICAL_EVENT
+                return
+            offset = drop_db * scales[k]
+            cooled = _cooled_offset(offset, tau_s, config.cooldown_s)
+            yield k, max(setpoint + offset, floor), max(setpoint + cooled, floor), _TEMPORARY_EVENT
+
+    return walk
 
 
-def _seed_pools(entropy):
-    """SeedSequence(row).pool of each row of `entropy`, an (n, 4) uint32
-    array of 1 to 4 entropy words, zero-padded: an unfilled pool word is
-    mixed from 0, so the padding changes nothing."""
-    pool = _hashmix(entropy, _INIT_A, _MULT_A)
-    calls = _POOL_SIZE
-    # each word's hash is mixed into the other three, in order
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        hashed = _hashmix(pool[:, [src] * len(dst)], _INIT_A, _MULT_A, calls)
-        mixed = _MIX_MULT_L * pool[:, dst] - _MIX_MULT_R * hashed
-        pool[:, dst] = mixed ^ (mixed >> 16)
-        calls += len(dst)
-    return pool
-
-
-def seed_state_words(pool, start: int, count: int):
-    """uint64 words start .. start + count - 1 of SeedSequence.generate_state
-    over `pool`, a SeedSequence's 4 pool words or rows of them, computed
-    from `start` alone."""
-    index = np.arange(2 * start, 2 * (start + count))
-    words = _hashmix(pool[..., index % _POOL_SIZE], _INIT_B, _MULT_B, 2 * start).astype(np.uint64)
-    # each uint64 is a pair of uint32 words, the first low on any machine
-    return words[..., 0::2] | (words[..., 1::2] << np.uint64(32))
-
-
-def _seeded_generators(seeds: list[int], tail: tuple[int, ...] = ()):
-    """Yield, for each seed below 2**64, a Generator in the state
-    np.random.default_rng([seed, *tail]) starts in, for at most two tail
-    ints below 2**32. It is one Generator, reseeded for each seed, so each
-    must be done with before the next."""
-    seeds = np.array(seeds, dtype=np.uint64)
-    # SeedSequence's entropy words, each int low word first; a seed below
-    # 2**32 is one word, so the tail follows it at once
-    words = np.zeros((len(seeds), _POOL_SIZE), dtype=np.uint32)
-    words[:, 0] = seeds % 2**32
-    words[:, 1] = seeds >> np.uint64(32)
-    at = np.where(words[:, 1] > 0, 2, 1)
-    for i, value in enumerate(tail):
-        words[np.arange(len(seeds)), at + i] = value
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    # the state setter copies the values out, so one dict serves every seed
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, q_hi, q_lo in seed_state_words(_seed_pools(words), 0, 4).tolist():
-        # pcg64_set_seed: initstate s, initseq q, each from its high word
-        pcg["inc"] = inc = (2 * (q_hi << 64 | q_lo) + 1) % 2**128
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
-        bit_generator.state = full
-        yield generator
-
-
-# --- batched readouts -------------------------------------------------------
-# One function per class reads a batch of fresh specimens, as specimen_batch
-# builds it, at every exposed rung of a campaign's power ladder at once,
-# given `baseline`, their shared readout before any exposure. It returns
-# (immediate, after, events), each broadcastable over (specimens, rungs): at
-# each rung the readout at shutoff, the one after cool-down, and the kind of
-# the exposure outcome as its index in OutcomeKind, CRITICAL_FAILURE wherever
-# the specimen is destroyed. They are run_campaign's `attenuation` values and
-# apply_exposure's outcome kinds bit for bit, up to the rung where the
-# campaign stops; later rungs are not meaningful. The ladder's delivered power
-# never falls, so a manual, fixed or MEMS specimen over a threshold at one
-# rung is over it at every later one: its construction draws alone decide
-# every rung. A VDMC point's tier times never fall either, so a point that
-# clears the damage law stays cleared: its readout sums tier times over the
-# ladder, draws the dip on the first clearing rung and counts the deepenings
-# after it, for all rungs at once. The dips of a batch are seeded in bulk,
-# as its specimens are, with the streams the scalar model's default_rng
-# gives. A 0 W rung changes nothing.
-
-_KIND_CODE = {kind: code for code, kind in enumerate(OutcomeKind)}
-_NO_CHANGE_CODE = _KIND_CODE[OutcomeKind.NO_CHANGE]
-_PERMANENT_DROP_CODE = _KIND_CODE[OutcomeKind.PERMANENT_DROP]
-
-
-def _maximum(a, b):
-    """max(a, b) elementwise with Python's rules: b only where b > a."""
-    return np.where(b > a, b, a)
-
-
-def _manual_readout(specimens, baseline, p_w, p_dbm, config):
-    return baseline, baseline, _NO_CHANGE_CODE
-
-
-def _fixed_readout(specimens, baseline, p_w, p_dbm, config):
-    profile, setpoint = specimens.profile, specimens.setpoint_db
-    failing = specimens.fate == Fate.FAILURE
-    destroyed = failing & (p_dbm >= specimens.sampled_failure_threshold_dbm)
-    heated = ~destroyed & (p_dbm >= specimens.sampled_attack_threshold_dbm)
-    offset = 0.0
-    if heated.any():
-        scale = np.array([_fixed_heat_scale(profile, w) for w in p_w.tolist()])
-        offset = np.where(heated, specimens.drop_db * scale, 0.0)
-    cooled = _cooled_offset(offset, profile.recovery_tau_s, config.cooldown_s)
-    floor = profile.insertion_loss_floor_db
-    blocked = _maximum(setpoint + specimens.failure_increase_db, floor)
-    immediate = np.where(destroyed, blocked, _maximum(setpoint + offset, floor))
-    after = np.where(destroyed, blocked, _maximum(setpoint + cooled, floor))
-    events = np.select(
-        [destroyed, heated],
-        [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _KIND_CODE[OutcomeKind.TEMPORARY_DROP]],
-        _NO_CHANGE_CODE,
-    )
-    return immediate, after, events
-
-
-def _mems_readout(specimens, baseline, p_w, p_dbm, config):
-    failing = specimens.fate == Fate.FAILURE
-    destroyed = failing & (p_dbm >= specimens.sampled_failure_threshold_dbm)
-    damaged = (specimens.fate == Fate.SUCCESS) & (p_dbm >= specimens.sampled_attack_threshold_dbm)
+def _mems_rungs(first, baseline, p_w, p_dbm, config):
+    floor = first.profile.insertion_loss_floor_db
+    blocked = max(MEMS_BLOCKED_DB, floor)
     # damage is written at the control's level, the only one read here
-    level = mems_voltage_to_attenuation(specimens.control)
-    damaged_db = _maximum(
-        level + _mems_band_drop(specimens.drop_db, level, level),
-        specimens.profile.insertion_loss_floor_db,
-    )
-    blocked = max(MEMS_BLOCKED_DB, specimens.profile.insertion_loss_floor_db)
-    after = np.where(destroyed, blocked, np.where(damaged, damaged_db, baseline))
-    # the drop is reported on the first damaged rung only, where it shows
-    first_damage = damaged & (damaged_db < baseline)
-    first_damage[:, 1:] &= ~damaged[:, :-1]
-    events = np.select(
-        [destroyed, first_damage],
-        [_KIND_CODE[OutcomeKind.CRITICAL_FAILURE], _PERMANENT_DROP_CODE],
-        _NO_CHANGE_CODE,
-    )
-    return after, after, events
+    level = mems_voltage_to_attenuation(first.control)
+
+    def walk(seed):
+        thr_a, thr_f, fate, drop_db, _ = _draws(first.klass, first.profile, Generator(seed))
+        if fate is Fate.FAILURE:
+            k = bisect_left(p_dbm, thr_f)
+            if k < len(p_w):
+                yield k, blocked, blocked, _CRITICAL_EVENT
+        elif fate is Fate.SUCCESS:
+            # the drop is reported on the first damaged rung only, where it shows
+            damaged = max(level + _mems_band_drop(drop_db, level, level), floor)
+            event = _PERMANENT_EVENT if damaged - baseline < 0 else _NO_CHANGE_EVENT
+            for k in range(bisect_left(p_dbm, thr_a), len(p_w)):
+                yield k, damaged, damaged, event
+                event = _NO_CHANGE_EVENT
+
+    return walk
 
 
-def _vdmc_readout(specimens, baseline, p_w, p_dbm, config):
-    # A specimen's one disk point, at its control. Tier times sum the dwells
-    # in _exposed_vdmc_point's order; 0 W rungs, apply_exposure's no-ops,
-    # reach no tier and add 0.0.
-    control = specimens.control
-    thr = specimens.sampled_attack_threshold_dbm
-    cleared = np.logical_or.reduce([
-        np.add.accumulate(np.where(p_dbm >= thr + off, config.dwell_s, 0.0), axis=1) >= t_req
-        for off, t_req in zip(VDMC_TIER_OFFSETS_DB, VDMC_TIER_TIMES_S)
-    ])
-    first = np.count_nonzero(~cleared, axis=1)  # the first clearing rung, or len(p_w)
-    n = len(first)
-    damaged = np.zeros(n, dtype=bool)
-    depth = np.zeros(n)
-    weight = np.zeros(n)  # _vdmc_dip_weight at the setting, 0 unless damaged
-    # the dip is drawn from the batch's unexposed point on the first clearing rung
-    clearing = np.flatnonzero(first < len(p_w)).tolist()
-    seeds = [specimens.seed[i] for i in clearing]
-    for i, rng in zip(clearing, _seeded_generators(seeds, _dip_tail(control))):
-        optimal = p_dbm[first[i]] >= thr[i, 0]
-        point = _drawn_vdmc_point(specimens, rng, specimens.vdmc_point, optimal)
-        if point.damaged:
-            damaged[i], depth[i], weight[i] = True, point.depth_db, _vdmc_dip_weight(point, control)
-    # a damaged point deepens on each later rung that tops the one before, the
-    # highest power it saw, as power never falls
-    rung = np.arange(len(p_w))
-    highest_w = np.append(0.0, p_w)[:-1]  # 0.0 before the first rung
-    deepen = damaged[:, None] & (rung > first[:, None]) & _vdmc_deepens(p_w, highest_w)
-    count = np.cumsum(deepen, axis=1)
-    depths = [depth]
-    for c in range(1, count.max(initial=0) + 1):
-        depths.append(_vdmc_deepened(depths[-1], VDMC_DEEPEN_FACTOR ** c))
-    depth = np.take_along_axis(np.stack(depths, axis=1), count, axis=1)
-    dip = np.where(rung >= first[:, None], depth * weight[:, None], 0.0)
-    # no exposure heats a VDMC, so after equals immediate
-    after = _maximum(control + dip, specimens.profile.insertion_loss_floor_db)
-    # after - baseline is _measured_vdmc_delta: 0 before the draw and held
-    # between the draw and each deepening, so a drop is where it falls
-    fell = np.diff(after - baseline, axis=1, prepend=0.0) < 0
-    return after, after, np.where(fell, _PERMANENT_DROP_CODE, _NO_CHANGE_CODE)
+def _vdmc_rungs(first, baseline, p_w, p_dbm, config):
+    control, floor = first.control, first.profile.insertion_loss_floor_db
+
+    def walk(seed):
+        thr = _draws(first.klass, first.profile, Generator(seed))[0]
+        point = VdmcPoint()  # its dip, once drawn; its other exposure fields are unused
+        times = point.tier_times_s
+        for k in range(bisect_left(p_dbm, thr + min(VDMC_TIER_OFFSETS_DB)), len(p_w)):
+            times, cleared = _exposed_tier_times(times, thr, p_dbm[k], config.dwell_s)
+            if not cleared:
+                continue
+            # power never falls, so the highest the point saw is the rung before's
+            highest_w = p_w[k - 1] if k else 0.0
+            optimal = p_dbm[k] >= thr
+            point, outcome = _damaged_vdmc_point(first, seed, point, p_w[k], highest_w, optimal)
+            if not point.damaged:  # every later draw gives the same
+                return
+            # no exposure heats a VDMC, so after equals immediate
+            after = max(control + _vdmc_dip_db(point, control), floor)
+            yield k, after, after, outcome.kind.value
+
+    return walk
 
 
-BATCH_READOUT = {
-    AttenuatorClass.MANUAL_VOA: _manual_readout,
-    AttenuatorClass.FIXED: _fixed_readout,
-    AttenuatorClass.MEMS_VOA: _mems_readout,
-    AttenuatorClass.VDMC_VOA: _vdmc_readout,
+RUNG_READOUTS = {
+    AttenuatorClass.MANUAL_VOA: lambda first, baseline, p_w, p_dbm, config: lambda seed: (),
+    AttenuatorClass.FIXED: _fixed_rungs,
+    AttenuatorClass.MEMS_VOA: _mems_rungs,
+    AttenuatorClass.VDMC_VOA: _vdmc_rungs,
 }
 
 

@@ -11,12 +11,14 @@ connector, or the maximum deliverable power being exhausted.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
-from . import _lazy_module, _left_sum
+from . import _left_sum
+from ._streams import state_words
 from .fiber import (
     FiberLink,
     LaserSource,
@@ -26,7 +28,7 @@ from .fiber import (
     max_injectable_power,
 )
 from .attenuators import (
-    BATCH_READOUT,
+    RUNG_READOUTS,
     AttenuatorClass,
     AttenuatorState,
     DamageProfile,
@@ -35,12 +37,8 @@ from .attenuators import (
     attenuation,
     cool_down,
     new_attenuator,
-    seed_state_words,
-    specimen_batch,
 )
 from .impact import DEFAULT_FAILURE_THRESHOLD_DB, DEFAULT_SUCCESS_THRESHOLD_DB
-
-np = _lazy_module("numpy")  # loaded on first use
 
 SCHEMA_VERSION = 1
 
@@ -181,15 +179,16 @@ def _power_ladder(config: CampaignConfig, link: FiberLink, laser: LaserSource):
         p_dbm += config.step_dbm
 
 
-def _stop_rule(config: CampaignConfig, delta_eval, delta_post, destroyed):
-    """(success, critical failure) of a step, floats or arrays.
-
-    Success is checked first: a step that meets both ends in success.
-    """
-    return (
-        delta_eval <= config.success_delta_db,
-        destroyed | (delta_post >= config.failure_delta_db),
-    )
+def _stop(config: CampaignConfig, baseline_db: float, immediate: float, after: float, destroyed):
+    """(outcome, final_delta_db) of a step that ends its campaign, else (None,
+    its delta after cool-down). A step that meets both ends in success."""
+    delta_eval = min(immediate, after) - baseline_db
+    if delta_eval <= config.success_delta_db:
+        return CampaignOutcome.SUCCESS, delta_eval
+    delta_post = after - baseline_db
+    if destroyed or delta_post >= config.failure_delta_db:
+        return CampaignOutcome.CRITICAL_FAILURE, delta_post
+    return None, delta_post
 
 
 def run_campaign(
@@ -234,16 +233,10 @@ def run_campaign(
             )
         )
 
-        delta_eval = min(immediate, after) - baseline_db
-        final_delta = after - baseline_db
-        success, failure = _stop_rule(config, delta_eval, final_delta, state.destroyed)
-        if success:
-            outcome = CampaignOutcome.SUCCESS
-            final_delta = delta_eval
-            attack_power = p_set
-            break
-        if failure:
-            outcome = CampaignOutcome.CRITICAL_FAILURE
+        outcome, final_delta = _stop(config, baseline_db, immediate, after, state.destroyed)
+        if outcome is not None:
+            if outcome is CampaignOutcome.SUCCESS:
+                attack_power = p_set
             break
         before = after
     else:  # still running at the last rung: it trips the fuse or reaches the cap
@@ -278,51 +271,47 @@ def _check_seed(master_seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {master_seed}")
 
 
-def trial_seeds(master_seed: int, n_trials: int, offset: int = 0) -> np.ndarray:
-    """Independent seeds of trials offset .. offset + n_trials - 1, a uint64
-    array, by SeedSequence state expansion: the words of
+def trial_seeds(master_seed: int, n_trials: int, offset: int = 0) -> list[int]:
+    """Independent uint64 seeds of trials offset .. offset + n_trials - 1,
+    by SeedSequence state expansion: the words of
     SeedSequence(master_seed).generate_state(offset + n_trials, np.uint64)
     from `offset` on, computed without those before it."""
     _check_seed(master_seed)
-    return seed_state_words(np.random.SeedSequence(master_seed).pool, offset, n_trials)
+    return state_words(master_seed, offset, n_trials)
 
 
-# Trials the batched engine reads at once. Its arrays are trials x rungs, so
-# a fixed batch keeps its memory independent of n_trials.
+# Trials the batched engine runs at once, and so the most a TrialBatch holds:
+# a fixed batch keeps the engine's memory independent of n_trials.
 _BATCH_TRIALS = 256
 
-# A batched trial's outcome code indexes OUTCOMES, and a step's event code
-# indexes STEP_EVENTS: the exposure outcome kinds, then the fuse trip.
+# A batched trial's outcome code indexes OUTCOMES; a step's event is one of
+# STEP_EVENTS: the exposure outcome kinds, then the fuse trip.
 OUTCOMES = tuple(CampaignOutcome)
 _CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
 STEP_EVENTS = (*(kind.value for kind in OutcomeKind), FUSE_TRIP)
-_CRITICAL_EVENT = STEP_EVENTS.index(OutcomeKind.CRITICAL_FAILURE.value)
+_CRITICAL_EVENT = OutcomeKind.CRITICAL_FAILURE.value
 
 
 class TrialBatch(NamedTuple):
-    """Consecutive trials of the batched engine, as arrays.
-
-    Per trial: `seeds` (ints), the outcome code, final_delta_db,
-    attack_power_dbm (meaningful only on success) and the rung the campaign
-    stopped on. `baseline_db` is the run's one readout before any exposure.
-    Per rung: the CampaignStep fields that hold for every trial. Per trial
-    and rung: the readouts after exposure and the event, as its code. A
-    trial's steps are its rungs up to and including its stop rung; later
-    ones are not meaningful.
-    """
+    """Consecutive trials of the batched engine, as lists. Per trial: its
+    seed, outcome code, final_delta_db, attack_power_dbm (meaningful only on
+    success), the rung the campaign stopped on, and per rung its readouts at
+    shutoff and after cool-down and its event; only the rungs up to the stop
+    are its steps. `baseline_db` is the run's readout before any exposure.
+    Per rung: the CampaignStep fields that hold for every trial."""
 
     seeds: list[int]
-    codes: np.ndarray
-    final_delta_db: np.ndarray
-    attack_power_dbm: np.ndarray
+    codes: list[int]
+    final_delta_db: list[float]
+    attack_power_dbm: list[float]
+    stop: list[int]
+    attenuation_immediate_db: list[list[float]]
+    attenuation_after_db: list[list[float]]
+    events: list[list[str]]
     baseline_db: float
-    stop: np.ndarray
-    power_dbm_set: np.ndarray
-    power_w_delivered: np.ndarray
-    duration_s: np.ndarray
-    attenuation_immediate_db: np.ndarray
-    attenuation_after_db: np.ndarray
-    events: np.ndarray
+    power_dbm_set: list[float]
+    power_w_delivered: list[float]
+    duration_s: list[float]
 
 
 def _batched_trials(
@@ -346,65 +335,37 @@ def _batched_trials(
     first = new_attenuator(klass, profile, setpoint_db)
     baseline = attenuation(first)
     rungs = list(_power_ladder(config, link, laser))
-    p_set, p_w, p_dbm, fuse = (np.array(column) for column in zip(*rungs))
-    fused = rungs[-1][3]  # only the last rung can trip the fuse
+    p_set, p_w, p_dbm, fuse = (list(column) for column in zip(*rungs))
+    fused = fuse[-1]  # only the last rung can trip the fuse
     n_exposed = len(rungs) - fused
-    duration = np.where(fuse, 0.0, config.dwell_s)
-    readout = BATCH_READOUT[klass]
+    duration = [0.0 if f else config.dwell_s for f in fuse]
+    walk = RUNG_READOUTS[klass](first, baseline, p_w[:n_exposed], p_dbm[:n_exposed], config)
+    unchanged = [OutcomeKind.NO_CHANGE.value] * n_exposed + [FUSE_TRIP] * fused
     for lo in range(0, n_trials, _BATCH_TRIALS):
         seeds = trial_seeds(seed, min(_BATCH_TRIALS, n_trials - lo), lo)
-        specimens = specimen_batch(first, seeds.tolist())
-        n = len(specimens.seed)
-        # A value past the float range becomes inf without a warning, as in
-        # run_campaign's float arithmetic; the readouts also compute values
-        # that only some trials keep.
-        with np.errstate(over="ignore"):
-            immediate, after, events = readout(
-                specimens, baseline, p_w[:n_exposed], p_dbm[:n_exposed], config
-            )
-        # one column per rung
-        immediate, after, events = (
-            np.broadcast_to(a, (n, n_exposed)) for a in (immediate, after, events)
-        )
-        if fused:
-            # a fuse rung is never exposed: it keeps the readout of the rung
-            # before it, so, as in run_campaign, it can only end the campaign
-            held = after[:, -1:] if n_exposed else np.full((n, 1), baseline)
-            immediate = np.hstack([immediate, held])
-            after = np.hstack([after, held])
-            events = np.hstack([events, np.full((n, 1), STEP_EVENTS.index(FUSE_TRIP))])
-
-        # min(immediate, after), as run_campaign takes it
-        lowest = np.where(after < immediate, after, immediate)
-        delta_eval = lowest - baseline
-        delta_post = after - baseline
-        # apply_exposure destroys a specimen exactly when it reports CriticalFailure
-        success, failure = _stop_rule(config, delta_eval, delta_post, events == _CRITICAL_EVENT)
-
-        stop = success | failure
-        stop[:, -1] = True  # the last rung ends every campaign still running
-        k = stop.argmax(axis=1)
-        rows = np.arange(n)
-        won = success[rows, k]
-        codes = np.select(
-            [won, failure[rows, k]],
-            [_CODE[CampaignOutcome.SUCCESS], _CODE[CampaignOutcome.CRITICAL_FAILURE]],
-            _CODE[CampaignOutcome.FIBER_FUSE_DOS if fused else CampaignOutcome.INCONCLUSIVE],
-        )
-        yield TrialBatch(
-            seeds=specimens.seed,
-            codes=codes,
-            final_delta_db=np.where(won, delta_eval[rows, k], delta_post[rows, k]),
-            attack_power_dbm=p_set[k],
-            baseline_db=baseline,
-            stop=k,
-            power_dbm_set=p_set,
-            power_w_delivered=p_w,
-            duration_s=duration,
-            attenuation_immediate_db=immediate,
-            attenuation_after_db=after,
-            events=events,
-        )
+        trials = []  # each trial's TrialBatch values
+        for trial_seed in seeds:
+            immediate = [baseline] * len(rungs)
+            after = immediate.copy()
+            events = unchanged.copy()
+            for k, shown, cooled, event in walk(trial_seed):
+                immediate[k], after[k], events[k] = shown, cooled, event
+                # apply_exposure destroys a specimen exactly when it reports CriticalFailure
+                destroyed = event == _CRITICAL_EVENT
+                outcome, final_delta = _stop(config, baseline, shown, cooled, destroyed)
+                if outcome is not None:
+                    break
+            else:  # still running at the last rung: it trips the fuse or reaches the cap
+                k = len(rungs) - 1
+                if fused and k:
+                    # a fuse rung is never exposed: it keeps the readout of
+                    # the rung before it, or the baseline on rung 1, so, as in
+                    # run_campaign, it can only end the campaign
+                    immediate[k] = after[k] = after[k - 1]
+                outcome = CampaignOutcome.FIBER_FUSE_DOS if fused else CampaignOutcome.INCONCLUSIVE
+                final_delta = after[k] - baseline
+            trials.append((_CODE[outcome], final_delta, p_set[k], k, immediate, after, events))
+        yield TrialBatch(seeds, *map(list, zip(*trials)), baseline, p_set, p_w, duration)
 
 
 def monte_carlo(
@@ -421,38 +382,27 @@ def monte_carlo(
     """Run independent seeded campaigns and aggregate outcome statistics.
 
     The trials run in batches through the batched engine, which gives each
-    trial the outcome run_campaign gives its specimen; a manual VOA's run
-    without `on_batch` is one run_campaign, counted n_trials times.
-    `on_batch`, if given, sees each batch of trials with their steps; no
-    batch outlives its call here. The run keeps one batch's seeds and
-    running totals.
+    trial the outcome run_campaign gives its specimen. `on_batch`, if given,
+    sees each batch of trials with their steps; no batch outlives its call
+    here. The run keeps one batch's seeds and running totals.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
     _check_seed(seed)
 
-    if klass is AttenuatorClass.MANUAL_VOA and on_batch is None:
-        # A manual specimen draws nothing, so every trial runs this one
-        # campaign. Its readout never moves, so the campaign neither
-        # succeeds nor fails: it ends Inconclusive or FiberFuseDoS, and both
-        # means are None. This path loads no numpy.
-        result = run_campaign(config, new_attenuator(klass, profile, setpoint_db), link, laser)
-        rates = (float(outcome is result.outcome) for outcome in OUTCOMES)
-        return MonteCarloSummary(n_trials, *rates, None, None)
-
-    tally = np.zeros(len(OUTCOMES), dtype=int)
+    counts = [0] * len(OUTCOMES)
     delta_sum = power_sum = 0
     for batch in _batched_trials(config, klass, profile, setpoint_db, seed, n_trials, link, laser):
-        tally += np.bincount(batch.codes, minlength=len(OUTCOMES))
-        won = batch.codes == _CODE[CampaignOutcome.SUCCESS]
+        for code in batch.codes:
+            counts[code] += 1
+        won = [code == _CODE[CampaignOutcome.SUCCESS] for code in batch.codes]
         # in trial order, so the sums add the same floats in the same order
         # as a loop over run_campaign's results would
-        delta_sum = _left_sum(batch.final_delta_db[won].tolist(), delta_sum)
-        power_sum = _left_sum(batch.attack_power_dbm[won].tolist(), power_sum)
+        delta_sum = _left_sum(itertools.compress(batch.final_delta_db, won), delta_sum)
+        power_sum = _left_sum(itertools.compress(batch.attack_power_dbm, won), power_sum)
         if on_batch is not None:
             on_batch(batch)
 
-    counts = tally.tolist()
     successes = counts[_CODE[CampaignOutcome.SUCCESS]]
     return MonteCarloSummary(
         n_trials,

@@ -25,7 +25,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import _lazy_module, fiber
+from . import fiber
 from .attenuators import (
     AttenuatorClass,
     ProfileConfigError,
@@ -47,8 +47,6 @@ from .campaign import (
 )
 from .impact import DEFAULT_MU0, impact_report
 from .risk import Prior, RiskQuery, TestRecord, risk_report
-
-np = _lazy_module("numpy")  # loaded on first use
 
 EXIT_WRITE_FAILED = 1
 EXIT_CONFIG_ERROR = 3
@@ -89,7 +87,7 @@ _STEP_READOUTS = {
 _STEP_SEPARATOR = ",\n" + _INDENT * 4
 _SUCCESS = OUTCOMES.index(CampaignOutcome.SUCCESS)
 _OUTCOME_JSON = [encode_basestring_ascii(outcome.value) for outcome in OUTCOMES]
-_EVENT_JSON = [encode_basestring_ascii(event) for event in STEP_EVENTS]
+_EVENT_JSON = {event: encode_basestring_ascii(event) for event in STEP_EVENTS}
 
 
 def _require_finite(*columns: list[float]) -> None:
@@ -104,8 +102,8 @@ def _trial_renderer(config: CampaignConfig, klass: AttenuatorClass, setpoint_db:
     for the result run_campaign gives the trial, byte for byte.
 
     The parts every trial shares are written once by _json, into templates
-    whose varying fields are filled with the repr of Python floats, as the
-    JSON encoder writes them; a numpy scalar's repr is not its JSON.
+    whose varying fields are filled with the repr of floats, as the JSON
+    encoder writes them.
     """
     trial_fields = ("attack_power_dbm", "baseline_db", "final_delta_db", "outcome", "seed")
     trial_template = _template(
@@ -122,31 +120,30 @@ def _trial_renderer(config: CampaignConfig, klass: AttenuatorClass, setpoint_db:
     def step_template(batch: TrialBatch, rung: int) -> str:
         step = {name: "\0" + name for name in _STEP_READOUTS}
         for name in ("power_dbm_set", "power_w_delivered", "duration_s"):
-            step[name] = getattr(batch, name)[rung].item()
+            step[name] = getattr(batch, name)[rung]
         return _template(step, 4, {"\0" + name: spec for name, spec in _STEP_READOUTS.items()})
 
     def render(batch: TrialBatch) -> list[str]:
-        stops = batch.stop.tolist()
-        logged = np.arange(batch.events.shape[1]) <= batch.stop[:, None]
-        rungs = logged.nonzero()[1].tolist()
+        rungs = [rung for stop in batch.stop for rung in range(stop + 1)]
+        # each trial's values at its logged rungs, one trial after another
+        logged = [slice(stop + 1) for stop in batch.stop]
         after, immediate, events = (
-            values[logged].tolist()
+            list(itertools.chain.from_iterable(map(operator.getitem, values, logged)))
             for values in (batch.attenuation_after_db, batch.attenuation_immediate_db, batch.events)
         )
         # a trial's first step starts from the baseline, each later one from
         # the step before's after
         before = [after[i - 1] if rung else batch.baseline_db for i, rung in enumerate(rungs)]
         delta = list(map(operator.sub, after, before))
-        final_deltas = batch.final_delta_db.tolist()
-        _require_finite(after, immediate, before, delta, [batch.baseline_db], final_deltas)
-        for rung in range(len(step_templates), max(stops) + 1):
+        _require_finite(after, immediate, before, delta, [batch.baseline_db], batch.final_delta_db)
+        for rung in range(len(step_templates), max(batch.stop) + 1):
             step_templates.append(step_template(batch, rung))
         # in _STEP_READOUTS order
         fills = zip(after, before, immediate, delta, map(_EVENT_JSON.__getitem__, events))
         steps = list(map(operator.mod, map(step_templates.__getitem__, rungs), fills))
         texts, end = [], 0
         for seed, code, power, final_delta, stop in zip(
-            batch.seeds, batch.codes.tolist(), batch.attack_power_dbm.tolist(), final_deltas, stops
+            batch.seeds, batch.codes, batch.attack_power_dbm, batch.final_delta_db, batch.stop
         ):
             start, end = end, end + stop + 1
             texts.append(trial_template % {
@@ -272,7 +269,7 @@ def _cmd_campaign(args, out) -> int:
     profile, setpoint = specimen_inputs(klass, profile, args.setpoint_db)
 
     if args.trials == 1:
-        state = new_attenuator(klass, profile, setpoint, seed=int(trial_seeds(args.seed, 1)[0]))
+        state = new_attenuator(klass, profile, setpoint, seed=trial_seeds(args.seed, 1)[0])
         result = run_campaign(config, state, link, laser)
         _write(out, _json(result.to_json_dict(config)), "\n")
         return 0

@@ -16,9 +16,7 @@ import threading
 import types
 from dataclasses import dataclass
 
-from . import _lazy_module, _left_sum
-
-np = _lazy_module("numpy")  # loaded on first use
+from . import _left_sum
 
 
 class Prior(enum.Enum):
@@ -72,13 +70,13 @@ class RiskQuery:
             raise ValueError("vulnerable_fraction must lie in (0, 1)")
 
 
-# Bound on first use by _import_special, from scipy's special-function ufunc
-# extension; only this module needs scipy.
-betainc = betaln = gammaln = None
+# Bound on first use by _import_special: numpy, and three ufuncs from scipy's
+# special-function extension. Only this module needs either.
+np = betainc = betaln = gammaln = None
 
 
 def _import_special() -> None:
-    """Bind the three ufuncs from `scipy.special._ufuncs`.
+    """Bind numpy and the three ufuncs from `scipy.special._ufuncs`.
 
     Importing the `scipy.special` package runs its `__init__`, which also
     loads the array-API dispatch layer and every wrapper module, about
@@ -93,7 +91,9 @@ def _import_special() -> None:
     could import scipy.special and get the placeholder, and no lock keeps it
     out without deadlocking against one already inside that import.
     """
-    global betainc, betaln, gammaln
+    global np, betainc, betaln, gammaln
+    import numpy as np
+
     if "scipy.special" not in sys.modules and threading.active_count() == 1:
         try:
             betainc, betaln, gammaln = _load_ufuncs()
@@ -164,6 +164,8 @@ def prob_fraction_vulnerable_exceeds(query: RiskQuery) -> float:
     if m == 0:
         return 0.0
     threshold = math.floor(query.vulnerable_fraction * m)
+    if np is None:
+        _import_special()
     log_pmf = _log_pmf(np.arange(threshold + 1, m + 1), m, alpha, beta)
     # math.exp and a left-to-right float sum, term by term: the same bits as
     # summing beta_binomial_pmf over k, which np.exp/np.sum would not give

@@ -1,8 +1,7 @@
 import json
 import re
-import struct
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -15,10 +14,8 @@ from attenattack.attenuators import (
     DEFAULT_SETPOINTS,
     SETPOINT_RANGES,
     AttenuatorClass,
-    AttenuatorState,
     Fate,
     new_attenuator,
-    specimen_batch,
 )
 from attenattack.campaign import (
     STEP_EVENTS,
@@ -648,38 +645,6 @@ def test_step_events_match_readouts(inputs, seed, n_trials):
         assert STEP_EVENT_RULES[step["event"]](step, profile.insertion_loss_floor_db), step
 
 
-def same_bits(a, b) -> bool:
-    """a and b are the same float, bit for bit, or else equal."""
-    if isinstance(a, float) and isinstance(b, float):
-        return struct.pack("<d", a) == struct.pack("<d", b)
-    return type(a) is type(b) and a == b
-
-
-@example(klass=AttenuatorClass.FIXED, seeds=[0, 2**32 - 1, 2**32, 2**64 - 1])
-@example(klass=AttenuatorClass.MEMS_VOA, seeds=[0, 2**32 - 1, 2**32, 2**64 - 1])
-@example(klass=AttenuatorClass.VDMC_VOA, seeds=[0, 2**32 - 1, 2**32, 2**64 - 1])
-@settings(max_examples=200, deadline=None)
-@given(
-    klass=st.sampled_from(AttenuatorClass),
-    # seeds below 2**32 seed numpy from one word of entropy, larger ones from two
-    seeds=st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1), min_size=1, max_size=6),
-)
-def test_specimen_batch_columns_are_new_attenuator_fields(klass, seeds):
-    first = new_attenuator(klass)
-    batch = specimen_batch(first, seeds)
-    assert batch.seed == seeds
-    for i, seed in enumerate(seeds):
-        single = new_attenuator(klass, seed=seed)
-        for f in fields(AttenuatorState):
-            value = getattr(batch, f.name)
-            if f.name == "seed":
-                value = value[i]
-            elif isinstance(value, np.ndarray):
-                assert value.shape == (len(seeds), 1)
-                value = value.tolist()[i][0]
-            assert same_bits(value, getattr(single, f.name)), f.name
-
-
 @example(master=2**128, offset=0, n_trials=1)
 @example(master=2**130 + 5, offset=10, n_trials=41)
 @example(master=0, offset=campaign.MAX_TRIALS - 1, n_trials=1)
@@ -693,8 +658,8 @@ def test_specimen_batch_columns_are_new_attenuator_fields(klass, seeds):
 def test_trial_seeds_from_an_offset_are_the_full_arrays_tail(master, offset, n_trials):
     seeds = trial_seeds(master, n_trials, offset)
     expected = np.random.SeedSequence(master).generate_state(offset + n_trials, dtype=np.uint64)
-    assert seeds.dtype == np.uint64
-    assert seeds.tolist() == expected[offset:].tolist()
+    assert all(type(seed) is int for seed in seeds)
+    assert seeds == expected[offset:].tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -745,5 +710,5 @@ def test_batched_memory_does_not_grow_with_trials(klass):
     # 2000 to 20000 trials. A seed array over all trials grew ~0.14 MiB,
     # seeds as Python ints and lists of each success's values 1.1-1.6 MiB,
     # and arrays over all trials and rungs at once would add ~35 MiB.
-    peak_bytes(2000)  # imports and numpy's first-use allocations
+    peak_bytes(2000)  # imports and first-use allocations
     assert peak_bytes(20000) - peak_bytes(2000) < 2**19

@@ -19,7 +19,7 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from attenattack import _lazy_module, campaign, cli
+from attenattack import campaign, cli
 from attenattack.attenuators import (
     _PROFILE_FIELDS,
     DEFAULT_PROFILES,
@@ -700,8 +700,8 @@ def test_negative_seed_exits_2_naming_it(trials):
 
 @pytest.mark.parametrize("klass", [c.value for c in AttenuatorClass])
 def test_one_trial_is_the_first_per_trial_entry(klass):
-    # --trials 1 seeds its specimen with numpy's default_rng, the batched
-    # engine in bulk
+    # --trials 1 builds its specimen with new_attenuator, the batched engine
+    # draws it in its rung readouts
     code, single, err = run_in_process("campaign", "--class", klass, "--trials", "1", "--seed", "5")
     assert code == 0, err
     code, multi, err = run_in_process(
@@ -800,10 +800,10 @@ def test_console_script_runs_one_blas_thread():
     code = """
 import contextlib, io, os, sys
 from attenattack.cli import main
-assert "numpy._core" not in sys.modules, "numpy loaded on importing cli"
+assert "numpy" not in sys.modules, "numpy loaded on importing cli"
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["campaign", "--class", "fixed", "--trials", "3"]) == 0
-assert "numpy._core" in sys.modules
+    assert main(["risk"]) == 0
+assert "numpy" in sys.modules
 tasks = "/proc/self/task"
 print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)
 """
@@ -818,17 +818,12 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(tasks)) if os.path.
 def test_numpy_imported_first_is_the_one_used():
     code = """
 import numpy
-from attenattack import attenuators, campaign, risk
-assert attenuators.np is campaign.np is risk.np is numpy
+from attenattack import risk
+risk.risk_report(risk.RiskQuery(risk.TestRecord(5, 4, 1)))
+assert risk.np is numpy
 """
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert cp.returncode == 0, cp.stderr
-
-
-def test_missing_lazy_module_fails_at_import():
-    with pytest.raises(ModuleNotFoundError):
-        _lazy_module("attenattack_no_such_module")
-    assert "attenattack_no_such_module" not in sys.modules
 
 
 def test_only_risk_imports_scipy():
@@ -838,18 +833,17 @@ import attenattack
 assert "numpy" not in sys.modules, "numpy imported with the package"
 assert "scipy" not in sys.modules, "scipy imported with the package"
 from attenattack.cli import main
-# The lazy `numpy` module may sit in sys.modules; its code runs, and loads
-# numpy._core, only when a computation first uses it.
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(["thresholds", "--points", "5"])
     main(["impact", "--delta-db", "-1"])
-    # a manual VOA's summary draws nothing, so it needs no numpy
-    main(["campaign", "--class", "manual-voa", "--trials", "1000"])
-    assert "numpy._core" not in sys.modules, "numpy loaded before a drawing campaign"
-    main(["campaign", "--class", "vdmc-voa", "--trials", "3", "--per-trial"])
-    assert "numpy._core" in sys.modules
+    # the package draws its own streams, so no campaign needs numpy
+    for klass in ("manual-voa", "fixed", "mems-voa", "vdmc-voa"):
+        for mode in (["--trials", "1"], ["--trials", "300"], ["--trials", "300", "--per-trial"]):
+            assert main(["campaign", "--class", klass, *mode]) == 0
+    assert "numpy" not in sys.modules, "numpy imported by a campaign"
     assert "scipy" not in sys.modules, "scipy imported before risk"
     main(["risk"])
+    assert "numpy" in sys.modules
 # risk loads scipy's ufunc extension, not the scipy.special package, and
 # leaves no placeholder for the package behind
 import scipy

@@ -90,7 +90,7 @@ def mems_batch():
     batches = []
     monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 6, 1, on_batch=batches.append)
     (batch,) = batches
-    assert (batch.stop < len(batch.power_dbm_set) - 1).any()
+    assert any(stop < len(batch.power_dbm_set) - 1 for stop in batch.stop)
     return batch
 
 
@@ -103,8 +103,8 @@ def render(batch):
 @pytest.mark.parametrize("rung", [0, -1])  # -1: the stop rung, whose after no later step reads
 def test_trial_renderer_rejects_non_finite_step_value(bad, field, rung):
     batch = mems_batch()
-    values = getattr(batch, field).copy()
-    values[-1, rung if rung == 0 else batch.stop[-1]] = bad
+    values = [trial.copy() for trial in getattr(batch, field)]
+    values[-1][rung if rung == 0 else batch.stop[-1]] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
         render(batch._replace(**{field: values}))
 
@@ -124,9 +124,9 @@ def test_trial_renderer_rejects_non_finite_trial_value(field):
 
 def test_trial_renderer_ignores_rungs_after_the_stop():
     batch = mems_batch()
-    after = batch.attenuation_after_db.copy()
-    for row, stop in enumerate(batch.stop.tolist()):
-        after[row, stop + 1:] = math.nan
+    after = [trial.copy() for trial in batch.attenuation_after_db]
+    for row, stop in enumerate(batch.stop):
+        after[row][stop + 1:] = [math.nan] * (len(after[row]) - stop - 1)
     assert render(batch._replace(attenuation_after_db=after)) == render(batch)
 
 
@@ -134,11 +134,11 @@ def test_trial_renderer_builds_one_step_template_per_rung():
     batches = []
     with patch.object(campaign, "_BATCH_TRIALS", 7):
         monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 60, 1, on_batch=batches.append)
-    events = {}  # by rung: the event codes its steps log, over every batch
+    events = {}  # by rung: the events its steps log, over every batch
     for batch in batches:
-        for row, stop in enumerate(batch.stop.tolist()):
+        for row, stop in enumerate(batch.stop):
             for rung in range(stop + 1):
-                events.setdefault(rung, set()).add(batch.events[row, rung].item())
+                events.setdefault(rung, set()).add(batch.events[row][rung])
     assert len(batches) > 1
     assert max(map(len, events.values())) > 1
     with patch.object(cli, "_template", wraps=cli._template) as template:
