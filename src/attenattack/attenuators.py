@@ -636,8 +636,8 @@ def _cooled_offset(offset_db: float, tau_s: float, elapsed_s: float) -> float:
 # apply_exposure give them, bit for bit; each earlier rung reads `baseline`
 # with NoChange. A specimen over a threshold at one rung is over it at every
 # later one, so `bisect` finds that rung. An enum's `value` is slow, so the
-# events are bound once.
-_NO_CHANGE_EVENT, _TEMPORARY_EVENT, _PERMANENT_EVENT, _CRITICAL_EVENT = (
+# events are bound once, here, for the walks and the engine that runs them.
+NO_CHANGE_EVENT, TEMPORARY_EVENT, PERMANENT_EVENT, CRITICAL_EVENT = (
     kind.value for kind in OutcomeKind
 )
 
@@ -653,11 +653,11 @@ def _fixed_rungs(first, baseline, p_w, p_dbm, config):
         for k in range(bisect_left(p_dbm, thr_a), len(p_w)):
             if failing and p_dbm[k] >= thr_f:
                 blocked = max(setpoint + increase_db, floor)
-                yield k, blocked, blocked, _CRITICAL_EVENT
+                yield k, blocked, blocked, CRITICAL_EVENT
                 return
             offset = drop_db * scales[k]
             cooled = _cooled_offset(offset, tau_s, config.cooldown_s)
-            yield k, max(setpoint + offset, floor), max(setpoint + cooled, floor), _TEMPORARY_EVENT
+            yield k, max(setpoint + offset, floor), max(setpoint + cooled, floor), TEMPORARY_EVENT
 
     return walk
 
@@ -673,14 +673,14 @@ def _mems_rungs(first, baseline, p_w, p_dbm, config):
         if fate is Fate.FAILURE:
             k = bisect_left(p_dbm, thr_f)
             if k < len(p_w):
-                yield k, blocked, blocked, _CRITICAL_EVENT
+                yield k, blocked, blocked, CRITICAL_EVENT
         elif fate is Fate.SUCCESS:
             # the drop is reported on the first damaged rung only, where it shows
             damaged = max(level + _mems_band_drop(drop_db, level, level), floor)
-            event = _PERMANENT_EVENT if damaged - baseline < 0 else _NO_CHANGE_EVENT
+            event = PERMANENT_EVENT if damaged - baseline < 0 else NO_CHANGE_EVENT
             for k in range(bisect_left(p_dbm, thr_a), len(p_w)):
                 yield k, damaged, damaged, event
-                event = _NO_CHANGE_EVENT
+                event = NO_CHANGE_EVENT
 
     return walk
 

@@ -11,13 +11,11 @@ connector, or the maximum deliverable power being exhausted.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
-from . import _left_sum
 from ._streams import state_words
 from .fiber import (
     FiberLink,
@@ -28,6 +26,8 @@ from .fiber import (
     max_injectable_power,
 )
 from .attenuators import (
+    CRITICAL_EVENT,
+    NO_CHANGE_EVENT,
     RUNG_READOUTS,
     AttenuatorClass,
     AttenuatorState,
@@ -45,9 +45,10 @@ SCHEMA_VERSION = 1
 # Most rungs a power ladder may hold; the default ladder has 30.
 MAX_RUNGS = 2000
 
-# Most trials a Monte Carlo run may hold. Each batch draws its own seeds, so
-# memory does not bound the count, but a run of this many takes tens of
-# seconds, and one far beyond it would run for hours.
+# Most trials a Monte Carlo run may hold. The engine keeps one block of seeds
+# and no trial past its observer's call, so memory does not bound the count,
+# but a run of this many takes tens of seconds, and one far beyond it would
+# run for hours.
 MAX_TRIALS = 10**6
 
 # The injection link of a campaign given none: a 20 m patch fiber.
@@ -280,41 +281,38 @@ def trial_seeds(master_seed: int, n_trials: int, offset: int = 0) -> list[int]:
     return state_words(master_seed, offset, n_trials)
 
 
-# Trials the batched engine runs at once, and so the most a TrialBatch holds:
-# a fixed batch keeps the engine's memory independent of n_trials.
+# Trials whose seeds trial_seeds computes at once: a fixed block keeps the
+# engine's memory independent of n_trials.
 _BATCH_TRIALS = 256
 
-# A batched trial's outcome code indexes OUTCOMES; a step's event is one of
-# STEP_EVENTS: the exposure outcome kinds, then the fuse trip.
-OUTCOMES = tuple(CampaignOutcome)
-_CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
+# A step's event is one of STEP_EVENTS: the exposure outcome kinds, then the
+# fuse trip.
 STEP_EVENTS = (*(kind.value for kind in OutcomeKind), FUSE_TRIP)
-_CRITICAL_EVENT = OutcomeKind.CRITICAL_FAILURE.value
 
 
-class TrialBatch(NamedTuple):
-    """Consecutive trials of the batched engine, as lists. Per trial: its
-    seed, outcome code, final_delta_db, attack_power_dbm (meaningful only on
-    success), the rung the campaign stopped on, and per rung its readouts at
-    shutoff and after cool-down and its event; only the rungs up to the stop
-    are its steps. `baseline_db` is the run's readout before any exposure.
-    Per rung: the CampaignStep fields that hold for every trial."""
+class Trial(NamedTuple):
+    """One trial of a Monte Carlo run: its seed, outcome, final_delta_db,
+    attack_power_dbm (None unless it succeeded), and per step, up to the rung
+    the campaign stopped on, its readouts at shutoff and after cool-down and
+    its event. Every trial of a run shares the rest: `baseline_db`, the
+    readout before any exposure, and per rung of the ladder the CampaignStep
+    fields that hold for every trial; a trial's steps are its first
+    len(events) rungs."""
 
-    seeds: list[int]
-    codes: list[int]
-    final_delta_db: list[float]
-    attack_power_dbm: list[float]
-    stop: list[int]
-    attenuation_immediate_db: list[list[float]]
-    attenuation_after_db: list[list[float]]
-    events: list[list[str]]
+    seed: int
+    outcome: CampaignOutcome
+    final_delta_db: float
+    attack_power_dbm: float | None
+    attenuation_immediate_db: list[float]
+    attenuation_after_db: list[float]
+    events: list[str]
     baseline_db: float
     power_dbm_set: list[float]
     power_w_delivered: list[float]
     duration_s: list[float]
 
 
-def _batched_trials(
+def _trials(
     config: CampaignConfig,
     klass: AttenuatorClass,
     profile: DamageProfile | None,
@@ -324,8 +322,8 @@ def _batched_trials(
     link: FiberLink,
     laser: LaserSource,
 ):
-    """Yield a TrialBatch per batch of the n_trials trials of master `seed`,
-    each trial seeded by trial_seeds.
+    """Yield the Trial of each of the n_trials trials of master `seed`, in
+    order, each seeded by trial_seeds.
 
     Each trial's values and steps are those run_campaign gives its specimen.
     """
@@ -340,18 +338,16 @@ def _batched_trials(
     n_exposed = len(rungs) - fused
     duration = [0.0 if f else config.dwell_s for f in fuse]
     walk = RUNG_READOUTS[klass](first, baseline, p_w[:n_exposed], p_dbm[:n_exposed], config)
-    unchanged = [OutcomeKind.NO_CHANGE.value] * n_exposed + [FUSE_TRIP] * fused
+    unchanged = [NO_CHANGE_EVENT] * n_exposed + [FUSE_TRIP] * fused
     for lo in range(0, n_trials, _BATCH_TRIALS):
-        seeds = trial_seeds(seed, min(_BATCH_TRIALS, n_trials - lo), lo)
-        trials = []  # each trial's TrialBatch values
-        for trial_seed in seeds:
+        for trial_seed in trial_seeds(seed, min(_BATCH_TRIALS, n_trials - lo), lo):
             immediate = [baseline] * len(rungs)
             after = immediate.copy()
             events = unchanged.copy()
             for k, shown, cooled, event in walk(trial_seed):
                 immediate[k], after[k], events[k] = shown, cooled, event
                 # apply_exposure destroys a specimen exactly when it reports CriticalFailure
-                destroyed = event == _CRITICAL_EVENT
+                destroyed = event == CRITICAL_EVENT
                 outcome, final_delta = _stop(config, baseline, shown, cooled, destroyed)
                 if outcome is not None:
                     break
@@ -364,8 +360,12 @@ def _batched_trials(
                     immediate[k] = after[k] = after[k - 1]
                 outcome = CampaignOutcome.FIBER_FUSE_DOS if fused else CampaignOutcome.INCONCLUSIVE
                 final_delta = after[k] - baseline
-            trials.append((_CODE[outcome], final_delta, p_set[k], k, immediate, after, events))
-        yield TrialBatch(seeds, *map(list, zip(*trials)), baseline, p_set, p_w, duration)
+            del immediate[k + 1:], after[k + 1:], events[k + 1:]
+            power = p_set[k] if outcome is CampaignOutcome.SUCCESS else None
+            yield Trial(
+                trial_seed, outcome, final_delta, power, immediate, after, events,
+                baseline, p_set, p_w, duration,
+            )
 
 
 def monte_carlo(
@@ -377,36 +377,36 @@ def monte_carlo(
     seed: int = 0,
     link: FiberLink = DEFAULT_LINK,
     laser: LaserSource = LaserSource(),
-    on_batch: Callable[[TrialBatch], None] | None = None,
+    on_trial: Callable[[Trial], None] | None = None,
 ) -> MonteCarloSummary:
     """Run independent seeded campaigns and aggregate outcome statistics.
 
-    The trials run in batches through the batched engine, which gives each
-    trial the outcome run_campaign gives its specimen. `on_batch`, if given,
-    sees each batch of trials with their steps; no batch outlives its call
-    here. The run keeps one batch's seeds and running totals.
+    Each trial gets the outcome run_campaign gives its specimen. `on_trial`,
+    if given, sees each trial with its steps, in trial order; no trial
+    outlives its call here. The run keeps one block of seeds and running
+    totals.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
     _check_seed(seed)
 
-    counts = [0] * len(OUTCOMES)
+    counts = dict.fromkeys(CampaignOutcome, 0)
     delta_sum = power_sum = 0
-    for batch in _batched_trials(config, klass, profile, setpoint_db, seed, n_trials, link, laser):
-        for code in batch.codes:
-            counts[code] += 1
-        won = [code == _CODE[CampaignOutcome.SUCCESS] for code in batch.codes]
-        # in trial order, so the sums add the same floats in the same order
-        # as a loop over run_campaign's results would
-        delta_sum = _left_sum(itertools.compress(batch.final_delta_db, won), delta_sum)
-        power_sum = _left_sum(itertools.compress(batch.attack_power_dbm, won), power_sum)
-        if on_batch is not None:
-            on_batch(batch)
+    for trial in _trials(config, klass, profile, setpoint_db, seed, n_trials, link, laser):
+        counts[trial.outcome] += 1
+        if trial.outcome is CampaignOutcome.SUCCESS:
+            # in trial order, left to right, so the sums add the same floats
+            # in the same order as a loop over run_campaign's results would
+            delta_sum += trial.final_delta_db
+            power_sum += trial.attack_power_dbm
+        if on_trial is not None:
+            on_trial(trial)
 
-    successes = counts[_CODE[CampaignOutcome.SUCCESS]]
+    successes = counts[CampaignOutcome.SUCCESS]
     return MonteCarloSummary(
         n_trials,
-        *(count / n_trials for count in counts),  # the rate fields are in OUTCOMES order
+        # the rate fields are in CampaignOutcome order
+        *(count / n_trials for count in counts.values()),
         mean_success_delta_db=delta_sum / successes if successes else None,
         mean_attack_threshold_dbm=power_sum / successes if successes else None,
     )

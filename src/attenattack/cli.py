@@ -22,6 +22,7 @@ import json
 import math
 import operator
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -35,11 +36,10 @@ from .attenuators import (
 )
 from .campaign import (
     DEFAULT_LINK,
-    OUTCOMES,
     STEP_EVENTS,
     CampaignConfig,
     CampaignOutcome,
-    TrialBatch,
+    Trial,
     document_header,
     monte_carlo,
     run_campaign,
@@ -85,8 +85,7 @@ _STEP_READOUTS = {
 }
 # What a trial's text holds between two of its steps.
 _STEP_SEPARATOR = ",\n" + _INDENT * 4
-_SUCCESS = OUTCOMES.index(CampaignOutcome.SUCCESS)
-_OUTCOME_JSON = [encode_basestring_ascii(outcome.value) for outcome in OUTCOMES]
+_OUTCOME_JSON = {outcome: encode_basestring_ascii(outcome.value) for outcome in CampaignOutcome}
 _EVENT_JSON = {event: encode_basestring_ascii(event) for event in STEP_EVENTS}
 
 
@@ -97,9 +96,9 @@ def _require_finite(*columns: list[float]) -> None:
 
 
 def _trial_renderer(config: CampaignConfig, klass: AttenuatorClass, setpoint_db: float):
-    """A function from a TrialBatch of one monte_carlo run to the text of
-    each of its trials: what `_json(result.to_json_dict(config), 2)` writes
-    for the result run_campaign gives the trial, byte for byte.
+    """A function from a Trial of one monte_carlo run to its text: what
+    `_json(result.to_json_dict(config), 2)` writes for the result
+    run_campaign gives the trial, byte for byte.
 
     The parts every trial shares are written once by _json, into templates
     whose varying fields are filled with the repr of floats, as the JSON
@@ -115,53 +114,49 @@ def _trial_renderer(config: CampaignConfig, klass: AttenuatorClass, setpoint_db:
         2,
         {"\0" + name: f"%({name})s" for name in (*trial_fields, "steps")},
     )
-    step_templates: list[str] = []  # by rung: the ladder is the same in every batch of a run
+    step_templates: list[str] = []  # by rung: every trial of a run shares the ladder
 
-    def step_template(batch: TrialBatch, rung: int) -> str:
+    def step_template(trial: Trial, rung: int) -> str:
         step = {name: "\0" + name for name in _STEP_READOUTS}
         for name in ("power_dbm_set", "power_w_delivered", "duration_s"):
-            step[name] = getattr(batch, name)[rung]
+            step[name] = getattr(trial, name)[rung]
         return _template(step, 4, {"\0" + name: spec for name, spec in _STEP_READOUTS.items()})
 
-    def render(batch: TrialBatch) -> list[str]:
-        rungs = [rung for stop in batch.stop for rung in range(stop + 1)]
-        # each trial's values at its logged rungs, one trial after another
-        logged = [slice(stop + 1) for stop in batch.stop]
-        after, immediate, events = (
-            list(itertools.chain.from_iterable(map(operator.getitem, values, logged)))
-            for values in (batch.attenuation_after_db, batch.attenuation_immediate_db, batch.events)
-        )
-        # a trial's first step starts from the baseline, each later one from
-        # the step before's after
-        before = [after[i - 1] if rung else batch.baseline_db for i, rung in enumerate(rungs)]
+    def render(trial: Trial) -> str:
+        after, immediate = trial.attenuation_after_db, trial.attenuation_immediate_db
+        # the first step starts from the baseline, each later one from the
+        # step before's after
+        before = [trial.baseline_db, *after[:-1]]
         delta = list(map(operator.sub, after, before))
-        _require_finite(after, immediate, before, delta, [batch.baseline_db], batch.final_delta_db)
-        for rung in range(len(step_templates), max(batch.stop) + 1):
-            step_templates.append(step_template(batch, rung))
-        # in _STEP_READOUTS order
-        fills = zip(after, before, immediate, delta, map(_EVENT_JSON.__getitem__, events))
-        steps = list(map(operator.mod, map(step_templates.__getitem__, rungs), fills))
-        texts, end = [], 0
-        for seed, code, power, final_delta, stop in zip(
-            batch.seeds, batch.codes, batch.attack_power_dbm, batch.final_delta_db, batch.stop
-        ):
-            start, end = end, end + stop + 1
-            texts.append(trial_template % {
-                "attack_power_dbm": repr(power) if code == _SUCCESS else "null",
-                "baseline_db": repr(batch.baseline_db),
-                "final_delta_db": repr(final_delta),
-                "outcome": _OUTCOME_JSON[code],
-                "seed": repr(seed),
-                "steps": _STEP_SEPARATOR.join(steps[start:end]),
-            })
-        return texts
+        _require_finite(after, immediate, before, delta, [trial.final_delta_db])
+        for rung in range(len(step_templates), len(after)):
+            step_templates.append(step_template(trial, rung))
+        # in _STEP_READOUTS order; zip stops at the trial's last step
+        fills = zip(after, before, immediate, delta, map(_EVENT_JSON.__getitem__, trial.events))
+        power = trial.attack_power_dbm
+        return trial_template % {
+            "attack_power_dbm": "null" if power is None else repr(power),
+            "baseline_db": repr(trial.baseline_db),
+            "final_delta_db": repr(trial.final_delta_db),
+            "outcome": _OUTCOME_JSON[trial.outcome],
+            "seed": repr(trial.seed),
+            "steps": _STEP_SEPARATOR.join(map(operator.mod, step_templates, fills)),
+        }
 
     return render
 
 
 def _write(out, *chunks: str) -> None:
-    """Write to the --out file, or else to whatever sys.stdout is now."""
-    (out or sys.stdout).writelines(chunks)
+    """Write a run's whole output, in one call, to the --out file in place of
+    what it held, or else to whatever sys.stdout is now."""
+    if out is None:
+        sys.stdout.writelines(chunks)
+        return
+    # opened without truncating, so a run that fails before its output is
+    # ready leaves the file as it was; a device or pipe has nothing to cut
+    if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        out.truncate(0)
+    out.writelines(chunks)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -274,16 +269,14 @@ def _cmd_campaign(args, out) -> int:
         _write(out, _json(result.to_json_dict(config)), "\n")
         return 0
 
-    # Each batch of trials of a multi-trial run is rendered as it finishes;
-    # only each trial's text is kept, after the separator that precedes it in
-    # "trials".
+    # Each trial of a multi-trial run is rendered as it finishes; only its
+    # text is kept, after the separator that precedes it in "trials".
     trials: list[str] = []
     render = _trial_renderer(config, klass, setpoint) if args.per_trial else None
 
-    def keep(batch) -> None:
-        for text in render(batch):
-            trials.append(",\n    " if trials else "\n    ")
-            trials.append(text)
+    def keep(trial: Trial) -> None:
+        trials.append(",\n    " if trials else "\n    ")
+        trials.append(render(trial))
 
     summary = monte_carlo(
         config,
@@ -294,7 +287,7 @@ def _cmd_campaign(args, out) -> int:
         seed=args.seed,
         link=link,
         laser=laser,
-        on_batch=keep if args.per_trial else None,
+        on_trial=keep if args.per_trial else None,
     )
     doc = _json({
         **document_header(config, klass, setpoint, args.seed),
@@ -341,11 +334,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out = code = None
     if args.out is not None:
-        # Opened before any compute, so a bad path fails at once. A run that
-        # fails removes the file it created rather than leave it empty.
+        # Opened before any compute, so a bad path fails at once, but not
+        # truncated: the file may be the run's config, and a run that fails
+        # leaves it as it was. A run that fails removes the file it created
+        # rather than leave it empty.
         created = not os.path.exists(args.out)
         try:
-            out = open(args.out, "w")
+            out = open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w")
         except OSError as exc:
             parser.exit(2, f"{parser.prog}: error: cannot open --out {args.out}: {exc.strerror}\n")
     try:

@@ -382,10 +382,13 @@ def batched_inputs(draw, classes=BATCHED_CLASSES):
 
 
 def assert_engines_agree(inputs, seed, n_trials, batch):
-    """The batched engine gives the summary and, rendered, each trial's
-    per-trial JSON document that run_campaign gives, or fails as it fails."""
+    """The engine gives the summary and, rendered, each trial's per-trial
+    JSON document that run_campaign gives, or fails as it fails; a
+    summary-only run gives the same summary. `batch` seeds are computed at
+    once."""
     klass, profile, setpoint, config, link = inputs
     seeds = trial_seeds(seed, n_trials)
+    args = (config, klass, profile, setpoint, n_trials, seed, link, LASER)
     with patch.object(campaign, "_BATCH_TRIALS", batch):
         try:
             expected = [
@@ -394,23 +397,20 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
             ]
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                list(campaign._batched_trials(
-                    config, klass, profile, setpoint, seed, n_trials, link, LASER
-                ))
+                list(campaign._trials(config, klass, profile, setpoint, seed, n_trials, link, LASER))
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER)
+                monte_carlo(*args)
             return
-        batches = []
-        batched = monte_carlo(
-            config, klass, profile, setpoint, n_trials, seed, link, LASER, on_batch=batches.append
-        )
-    assert [len(b.seeds) for b in batches] == [
-        min(batch, n_trials - lo) for lo in range(0, n_trials, batch)
-    ]
+        trials = []
+        observed = monte_carlo(*args, on_trial=trials.append)
+        summary_only = monte_carlo(*args)
+    assert [trial.seed for trial in trials] == seeds
     render = cli._trial_renderer(config, klass, setpoint)
-    rendered = [text for b in batches for text in render(b)]
-    assert rendered == [cli._json(result.to_json_dict(config), 2) for result in expected]
-    assert batched == summary_of(expected)
+    assert list(map(render, trials)) == [
+        cli._json(result.to_json_dict(config), 2) for result in expected
+    ]
+    assert observed == summary_of(expected)
+    assert summary_only == observed
 
 
 # a fixed profile that could draw a drop <= 0: every specimen is rejected
@@ -634,11 +634,11 @@ def test_step_events_match_readouts(inputs, seed, n_trials):
     render = cli._trial_renderer(config, klass, setpoint)
     steps = []
 
-    def log(batch) -> None:  # the steps a --per-trial run logs
-        steps.extend(step for text in render(batch) for step in json.loads(text)["steps"])
+    def log(trial) -> None:  # the steps a --per-trial run logs
+        steps.extend(json.loads(render(trial))["steps"])
 
     try:
-        monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER, on_batch=log)
+        monte_carlo(config, klass, profile, setpoint, n_trials, seed, link, LASER, on_trial=log)
     except ValueError:  # inputs no specimen or ladder may have
         return
     for step in steps:
@@ -662,26 +662,6 @@ def test_trial_seeds_from_an_offset_are_the_full_arrays_tail(master, offset, n_t
     assert seeds == expected[offset:].tolist()
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    inputs=batched_inputs(classes=[AttenuatorClass.MANUAL_VOA]),
-    seed=st.integers(0, 2**64),
-    n_trials=st.integers(1, 600),
-)
-def test_manual_summary_is_the_batched_one(inputs, seed, n_trials):
-    # a summary-only manual run is one campaign; an on_batch forces the
-    # batched engine
-    klass, profile, setpoint, config, link = inputs
-    args = (config, klass, profile, setpoint, n_trials, seed, link, LASER)
-    try:
-        batched = monte_carlo(*args, on_batch=lambda batch: None)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            monte_carlo(*args)
-        return
-    assert monte_carlo(*args) == batched
-
-
 @pytest.mark.parametrize("n_trials", [1, 256, 600])
 @pytest.mark.parametrize("klass", list(AttenuatorClass))
 def test_monte_carlo_checks_its_inputs_once(klass, n_trials):
@@ -693,22 +673,25 @@ def test_monte_carlo_checks_its_inputs_once(klass, n_trials):
     assert build.call_count <= 1
 
 
+# an observer that keeps nothing: the engine keeps no trial past its call
+@pytest.mark.parametrize("on_trial", [None, lambda trial: None], ids=["summary", "observed"])
 @pytest.mark.parametrize(
     "klass", [AttenuatorClass.FIXED, AttenuatorClass.MEMS_VOA, AttenuatorClass.VDMC_VOA]
 )
-def test_batched_memory_does_not_grow_with_trials(klass):
+def test_batched_memory_does_not_grow_with_trials(klass, on_trial):
     def peak_bytes(n_trials):
-        """tracemalloc peak of a summary-only monte_carlo run."""
+        """tracemalloc peak of a monte_carlo run."""
         tracemalloc.start()
         try:
-            monte_carlo(CampaignConfig(), klass, n_trials=n_trials, seed=1)
+            monte_carlo(CampaignConfig(), klass, n_trials=n_trials, seed=1, on_trial=on_trial)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # Each batch draws its own seeds, so nothing the run keeps grows from
-    # 2000 to 20000 trials. A seed array over all trials grew ~0.14 MiB,
-    # seeds as Python ints and lists of each success's values 1.1-1.6 MiB,
-    # and arrays over all trials and rungs at once would add ~35 MiB.
+    # Each block of trials computes its own seeds, and no trial outlives its
+    # observer's call, so nothing the run keeps grows from 2000 to 20000
+    # trials. A seed array over all trials grew ~0.14 MiB, seeds as Python
+    # ints and lists of each success's values 1.1-1.6 MiB, and arrays over
+    # all trials and rungs at once would add ~35 MiB.
     peak_bytes(2000)  # imports and first-use allocations
     assert peak_bytes(20000) - peak_bytes(2000) < 2**19

@@ -253,7 +253,7 @@ class TestCampaign:
         renderer = patch.object(cli, "_trial_renderer", wraps=cli._trial_renderer)
         writer = patch.object(cli, "_json", wraps=cli._json)
         with renderer as render, writer as write:
-            # 300 trials make two batches
+            # 300 trials span two blocks of seeds, and one renderer writes them all
             code, out, _ = run_in_process(
                 "campaign", "--class", "fixed", "--trials", "300",
                 *(["--per-trial"] if per_trial else []),
@@ -411,6 +411,58 @@ def test_failed_run_leaves_no_out_file(tmp_path: Path):
     cp = run_cli("thresholds", "--points", "1", "--out", str(out))
     assert cp.returncode == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("thresholds", "--points", "1"),
+        ("campaign", "--class", "fixed", "--trials", "0"),
+        ("campaign", "--class", "fixed", "--trials", "3", "--per-trial", "--seed", "-1"),
+    ],
+)
+def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path: Path, args):
+    out = tmp_path / "prev.json"
+    out.write_bytes(b'{"earlier": "output"}\n')
+    cp = run_cli(*args, "--out", str(out))
+    assert cp.returncode == 2
+    assert out.read_bytes() == b'{"earlier": "output"}\n'
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["--config", "QLA_CONFIG"])
+def test_config_named_as_out_is_read_intact(tmp_path: Path, via_env):
+    cfg = tmp_path / "profiles.json"
+    # the MEMS attack threshold beyond the sweep: never damaged
+    text = json.dumps({"profiles": {"mems-voa": {"attack_threshold_dbm": 60.0,
+                                                 "failure_threshold_dbm": 61.0}}})
+    cfg.write_text(text)
+    config = [] if via_env else ["--config", str(cfg)]
+    env = dict(os.environ, QLA_CONFIG=str(cfg)) if via_env else None
+    args = ("campaign", "--class", "mems-voa", "--trials", "3", *config)
+    # a failed run leaves the config as it was
+    cp = run_cli(*args, "--seed", "-1", "--out", str(cfg), env=env)
+    assert cp.returncode == 2, cp.stderr
+    assert cfg.read_text() == text
+    # a run that succeeds reads the config, then writes its output over it
+    expected = run_cli(*args, env=env)
+    cp = run_cli(*args, "--out", str(cfg), env=env)
+    assert cp.returncode == expected.returncode == 0, cp.stderr
+    assert json.loads(expected.stdout)["summary"]["success_rate"] == 0.0
+    assert cfg.read_text() == expected.stdout
+
+
+def test_out_file_longer_than_the_output_is_replaced(tmp_path: Path):
+    out = tmp_path / "prev.csv"
+    out.write_text("x" * 100_000)
+    cp = run_cli("thresholds", "--points", "3", "--out", str(out))
+    assert cp.returncode == 0
+    assert out.read_text() == run_cli("thresholds", "--points", "3").stdout
+
+
+def test_out_device_is_written_without_truncation():
+    cp = run_cli("thresholds", "--points", "3", "--out", os.devnull)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == cp.stderr == ""
 
 
 def test_per_trial_out_file_matches_stdout(tmp_path: Path):
@@ -647,7 +699,7 @@ INFINITE_DROP = {
 )
 def test_batched_readout_overflows_without_warning(tmp_path: Path, klass, overrides, flags, mode):
     # run_campaign's float arithmetic gives inf there without a warning, and
-    # the batched readouts also compute values that only some trials keep
+    # so must the engine's rung walks, summary-only or writing each trial
     cfg = tmp_path / "profile.json"
     cfg.write_text(json.dumps({"profiles": {klass: overrides}}))
     with warnings.catch_warnings(record=True) as caught:
@@ -688,7 +740,7 @@ def test_mems_drop_below_its_band_logs_no_permanent_drop(run):
 
 @pytest.mark.parametrize("trials", ["1", "3"])
 def test_negative_seed_exits_2_naming_it(trials):
-    # a manual VOA's summary-only run takes a path of its own
+    # a manual VOA draws nothing from its seed, and still checks it
     for klass in ("fixed", "manual-voa"):
         code, out, err = run_in_process(
             "campaign", "--class", klass, "--trials", trials, "--seed", "-1"

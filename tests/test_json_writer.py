@@ -7,7 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attenattack import campaign, cli
+from attenattack import cli
 from attenattack.attenuators import AttenuatorClass
 from attenattack.campaign import CampaignConfig, monte_carlo
 from attenattack.cli import _json, _trial_renderer
@@ -85,65 +85,48 @@ def test_unserialisable_value_raises_type_error():
 CONFIG = CampaignConfig(connectorized_output=True, fuse_threshold_w=4.0)
 
 
-def mems_batch():
+def mems_trials():
     """Six MEMS trials, some stopped before the last rung, which trips the fuse."""
-    batches = []
-    monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 6, 1, on_batch=batches.append)
-    (batch,) = batches
-    assert any(stop < len(batch.power_dbm_set) - 1 for stop in batch.stop)
-    return batch
+    trials = []
+    monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 6, 1, on_trial=trials.append)
+    assert any(len(trial.events) < len(trial.power_dbm_set) for trial in trials)
+    return trials
 
 
-def render(batch):
-    return _trial_renderer(CONFIG, AttenuatorClass.MEMS_VOA, 30.0)(batch)
+def render(trial):
+    return _trial_renderer(CONFIG, AttenuatorClass.MEMS_VOA, 30.0)(trial)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["attenuation_after_db", "attenuation_immediate_db"])
-@pytest.mark.parametrize("rung", [0, -1])  # -1: the stop rung, whose after no later step reads
-def test_trial_renderer_rejects_non_finite_step_value(bad, field, rung):
-    batch = mems_batch()
-    values = [trial.copy() for trial in getattr(batch, field)]
-    values[-1][rung if rung == 0 else batch.stop[-1]] = bad
+@pytest.mark.parametrize("step", [0, -1])  # -1: the last step, whose after no later step reads
+def test_trial_renderer_rejects_non_finite_step_value(bad, field, step):
+    trial = max(mems_trials(), key=lambda trial: len(trial.events))
+    assert len(trial.events) > 1
+    values = getattr(trial, field).copy()
+    values[step] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
-        render(batch._replace(**{field: values}))
+        render(trial._replace(**{field: values}))
 
 
 @pytest.mark.parametrize("field", ["baseline_db", "final_delta_db"])
 def test_trial_renderer_rejects_non_finite_trial_value(field):
-    batch = mems_batch()
-    if field == "baseline_db":  # one float for the whole run
-        bad = batch._replace(baseline_db=math.inf)
-    else:
-        values = batch.final_delta_db.copy()
-        values[0] = math.inf
-        bad = batch._replace(final_delta_db=values)
+    trial = mems_trials()[0]
     with pytest.raises(ValueError, match="not JSON compliant"):
-        render(bad)
-
-
-def test_trial_renderer_ignores_rungs_after_the_stop():
-    batch = mems_batch()
-    after = [trial.copy() for trial in batch.attenuation_after_db]
-    for row, stop in enumerate(batch.stop):
-        after[row][stop + 1:] = [math.nan] * (len(after[row]) - stop - 1)
-    assert render(batch._replace(attenuation_after_db=after)) == render(batch)
+        render(trial._replace(**{field: math.inf}))
 
 
 def test_trial_renderer_builds_one_step_template_per_rung():
-    batches = []
-    with patch.object(campaign, "_BATCH_TRIALS", 7):
-        monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 60, 1, on_batch=batches.append)
-    events = {}  # by rung: the events its steps log, over every batch
-    for batch in batches:
-        for row, stop in enumerate(batch.stop):
-            for rung in range(stop + 1):
-                events.setdefault(rung, set()).add(batch.events[row][rung])
-    assert len(batches) > 1
+    trials = []
+    monte_carlo(CONFIG, AttenuatorClass.MEMS_VOA, None, 30.0, 60, 1, on_trial=trials.append)
+    events = {}  # by rung: the events its steps log, over every trial
+    for trial in trials:
+        for rung, event in enumerate(trial.events):
+            events.setdefault(rung, set()).add(event)
     assert max(map(len, events.values())) > 1
     with patch.object(cli, "_template", wraps=cli._template) as template:
         render = _trial_renderer(CONFIG, AttenuatorClass.MEMS_VOA, 30.0)
-        for batch in batches:
-            render(batch)
+        for trial in trials:
+            render(trial)
     # the trial template, then at most one step template per rung
     assert template.call_count <= 1 + len(events)
