@@ -162,6 +162,10 @@ SETPOINT_RANGES = {
     AttenuatorClass.VDMC_VOA: (0.0, MAX_ATTENUATION_DB),
 }
 
+# A readout's control ranges, in each class's control coordinate: volts for
+# a MEMS VOA, whose setpoint range they map onto, dB otherwise.
+CONTROL_RANGES = {**SETPOINT_RANGES, AttenuatorClass.MEMS_VOA: (0.0, MEMS_V_MAX)}
+
 # Setpoint, dB, of a specimen built without one; the CLI echoes it.
 DEFAULT_SETPOINTS = {
     AttenuatorClass.MANUAL_VOA: 31.0,
@@ -242,12 +246,11 @@ class VdmcPoint(NamedTuple):
     hw_hi_db: float = 0.0
 
 
-@dataclass
-class AttenuatorState:
+class AttenuatorState(NamedTuple):
     """One attenuator specimen under attack. Its control is fixed at
-    construction, and its permanent damage is recorded at that control.
-    Operations return a shallow copy and never mutate their input: shared
-    values are immutable or replaced."""
+    construction, and its permanent damage is recorded at that control. No
+    field can be assigned: each operation returns a new state, built with
+    `_replace`, and its input stays as it was."""
 
     klass: AttenuatorClass
     profile: DamageProfile
@@ -266,11 +269,6 @@ class AttenuatorState:
     blocked_db: float = 0.0
     mems_damaged: bool = False          # MEMS: the band drop is written
     vdmc_point: VdmcPoint = VdmcPoint()  # VDMC: the exposed point's bookkeeping
-
-    def copy(self) -> "AttenuatorState":
-        new = object.__new__(AttenuatorState)
-        new.__dict__.update(self.__dict__)
-        return new
 
 
 def new_attenuator(
@@ -298,7 +296,9 @@ def specimen_inputs(
         profile = DEFAULT_PROFILES[klass]
     if setpoint_db is None:
         setpoint_db = DEFAULT_SETPOINTS[klass]
-    _check_setting(klass, setpoint_db)
+    lo, hi = SETPOINT_RANGES[klass]
+    if not lo <= setpoint_db <= hi:
+        raise ValueError(f"{klass.value} setting {setpoint_db} dB out of range [{lo}, {hi}]")
 
     if klass is AttenuatorClass.FIXED:
         if profile.success_probability > 0 and _fixed_drop_range(profile)[0] <= 0:
@@ -372,23 +372,18 @@ def _vdmc_dip_weight(point: VdmcPoint, setting_db: float) -> float:
 
 
 def attenuation(state: AttenuatorState, control: float | None = None) -> float:
-    """Reported attenuation (dB) at a control setting, default the setpoint."""
-    if state.destroyed:
-        return max(state.blocked_db, state.profile.insertion_loss_floor_db)
+    """Reported attenuation (dB) at a control setting, default the specimen's
+    own. A given control must lie in CONTROL_RANGES, even for a destroyed
+    specimen."""
     if control is None:
         control = state.control
+    else:
+        lo, hi = CONTROL_RANGES[state.klass]
+        if not lo <= control <= hi:  # NaN fails too
+            raise ValueError(f"{state.klass.value} control {control} out of range [{lo}, {hi}]")
+    if state.destroyed:
+        return max(state.blocked_db, state.profile.insertion_loss_floor_db)
     return _ATTENUATION[state.klass](state, control)
-
-
-def _check_setting(klass: AttenuatorClass, setting_db: float) -> None:
-    lo, hi = SETPOINT_RANGES[klass]
-    if not lo <= setting_db <= hi:
-        raise ValueError(f"{klass.value} setting {setting_db} dB out of range [{lo}, {hi}]")
-
-
-def _manual_attenuation(state: AttenuatorState, control: float) -> float:
-    _check_setting(state.klass, control)
-    return control
 
 
 def _fixed_attenuation(state: AttenuatorState, control: float) -> float:
@@ -408,7 +403,6 @@ def _mems_attenuation(state: AttenuatorState, control: float) -> float:
 
 def _vdmc_attenuation(state: AttenuatorState, control: float) -> float:
     # baseline is the calibrated identity curve plus the exposed point's dip
-    _check_setting(state.klass, control)
     value = control + _vdmc_dip_db(state.vdmc_point, control)
     return max(value, state.profile.insertion_loss_floor_db)
 
@@ -442,7 +436,8 @@ _NO_CHANGE = ExposureOutcome(OutcomeKind.NO_CHANGE)
 def apply_exposure(
     state: AttenuatorState, power_w: float, duration_s: float
 ) -> tuple[AttenuatorState, ExposureOutcome]:
-    """Expose the attenuator to c.w. power for a duration; returns new state.
+    """Expose the attenuator to c.w. power for a duration; returns the state
+    after it and the outcome.
 
     Randomness is drawn from the seed at construction, or for a VDMC point's
     dip at the exposure that first clears the law, so a trajectory is fixed
@@ -455,24 +450,25 @@ def apply_exposure(
     if duration_s <= 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
 
-    new = state.copy()
     if power_w == 0.0:
-        return new, _NO_CHANGE
-    return new, _EXPOSE[state.klass](new, power_w, watts_to_dbm(power_w), duration_s)
+        return state, _NO_CHANGE
+    return _EXPOSE[state.klass](state, power_w, watts_to_dbm(power_w), duration_s)
 
 
-# Each _expose_* function updates `new`, a fresh copy it owns, and returns
-# the outcome.
-def _expose_fixed(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
-    if new.fate is Fate.FAILURE and p_dbm >= new.sampled_failure_threshold_dbm:
-        new.destroyed = True
-        new.thermal_offset_db = 0.0
-        new.blocked_db = new.setpoint_db + new.failure_increase_db
-        return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, new.failure_increase_db)
-    if p_dbm >= new.sampled_attack_threshold_dbm:
-        new.thermal_offset_db = new.drop_db * _fixed_heat_scale(new.profile, power_w)
-        return ExposureOutcome(OutcomeKind.TEMPORARY_DROP, new.thermal_offset_db)
-    return _NO_CHANGE
+# Each _expose_* function returns the state after a nonzero exposure, and its
+# outcome.
+def _expose_fixed(state: AttenuatorState, power_w, p_dbm, duration_s):
+    if state.fate is Fate.FAILURE and p_dbm >= state.sampled_failure_threshold_dbm:
+        increase = state.failure_increase_db
+        blocked = state._replace(
+            destroyed=True, thermal_offset_db=0.0, blocked_db=state.setpoint_db + increase
+        )
+        return blocked, ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, increase)
+    if p_dbm >= state.sampled_attack_threshold_dbm:
+        offset = state.drop_db * _fixed_heat_scale(state.profile, power_w)
+        outcome = ExposureOutcome(OutcomeKind.TEMPORARY_DROP, offset)
+        return state._replace(thermal_offset_db=offset), outcome
+    return state, _NO_CHANGE
 
 
 def _fixed_heat_scale(profile: DamageProfile, power_w: float) -> float:
@@ -480,36 +476,36 @@ def _fixed_heat_scale(profile: DamageProfile, power_w: float) -> float:
     return min(power_w / dbm_to_watts(profile.attack_threshold_dbm), FIXED_THERMAL_POWER_CAP)
 
 
-def _expose_mems(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
-    baseline = mems_voltage_to_attenuation(new.control)
-    if new.fate is Fate.FAILURE and p_dbm >= new.sampled_failure_threshold_dbm:
-        new.destroyed = True
-        new.blocked_db = MEMS_BLOCKED_DB
-        return ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, MEMS_BLOCKED_DB - baseline)
+def _expose_mems(state: AttenuatorState, power_w, p_dbm, duration_s):
+    if state.fate is Fate.FAILURE and p_dbm >= state.sampled_failure_threshold_dbm:
+        rise = MEMS_BLOCKED_DB - mems_voltage_to_attenuation(state.control)
+        outcome = ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, rise)
+        return state._replace(destroyed=True, blocked_db=MEMS_BLOCKED_DB), outcome
     if (
-        new.fate is Fate.SUCCESS
-        and not new.mems_damaged
-        and p_dbm >= new.sampled_attack_threshold_dbm
+        state.fate is Fate.SUCCESS
+        and not state.mems_damaged
+        and p_dbm >= state.sampled_attack_threshold_dbm
     ):
-        before = attenuation(new)
-        new.mems_damaged = True
-        shown = attenuation(new) - before  # none below the damage band or the floor
+        damaged = state._replace(mems_damaged=True)
+        # none shows below the damage band or the floor
+        shown = attenuation(damaged) - attenuation(state)
         if shown < 0:
-            return ExposureOutcome(OutcomeKind.PERMANENT_DROP, shown)
-    return _NO_CHANGE
+            return damaged, ExposureOutcome(OutcomeKind.PERMANENT_DROP, shown)
+        return damaged, _NO_CHANGE
+    return state, _NO_CHANGE
 
 
-def _expose_vdmc(new: AttenuatorState, power_w, p_dbm, duration_s) -> ExposureOutcome:
-    old = new.vdmc_point
-    thr = new.sampled_attack_threshold_dbm
+def _expose_vdmc(state: AttenuatorState, power_w, p_dbm, duration_s):
+    old = state.vdmc_point
+    thr = state.sampled_attack_threshold_dbm
     times, cleared = _exposed_tier_times(old.tier_times_s, thr, p_dbm, duration_s)
-    new.vdmc_point = old._replace(tier_times_s=times, max_power_w=max(old.max_power_w, power_w))
-    if not cleared:
-        return _NO_CHANGE
-    new.vdmc_point, outcome = _damaged_vdmc_point(
-        new, new.seed, new.vdmc_point, power_w, old.max_power_w, p_dbm >= thr
-    )
-    return outcome
+    point = old._replace(tier_times_s=times, max_power_w=max(old.max_power_w, power_w))
+    outcome = _NO_CHANGE
+    if cleared:
+        point, outcome = _damaged_vdmc_point(
+            state, state.seed, point, power_w, old.max_power_w, p_dbm >= thr
+        )
+    return state._replace(vdmc_point=point), outcome
 
 
 def _exposed_tier_times(times: tuple, thr: float, p_dbm: float, duration_s: float):
@@ -593,14 +589,14 @@ def _measured_vdmc_delta(state: AttenuatorState, point: VdmcPoint) -> float:
 
 
 _ATTENUATION = {
-    AttenuatorClass.MANUAL_VOA: _manual_attenuation,
+    AttenuatorClass.MANUAL_VOA: lambda state, control: control,
     AttenuatorClass.FIXED: _fixed_attenuation,
     AttenuatorClass.MEMS_VOA: _mems_attenuation,
     AttenuatorClass.VDMC_VOA: _vdmc_attenuation,
 }
 
 _EXPOSE = {
-    AttenuatorClass.MANUAL_VOA: lambda new, power_w, p_dbm, duration_s: _NO_CHANGE,
+    AttenuatorClass.MANUAL_VOA: lambda state, power_w, p_dbm, duration_s: (state, _NO_CHANGE),
     AttenuatorClass.FIXED: _expose_fixed,
     AttenuatorClass.MEMS_VOA: _expose_mems,
     AttenuatorClass.VDMC_VOA: _expose_vdmc,
@@ -611,11 +607,8 @@ def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:
     """Exponential decay of the thermal offset; permanent damage untouched."""
     if elapsed_s < 0:
         raise ValueError(f"elapsed_s must be >= 0, got {elapsed_s}")
-    new = state.copy()
-    new.thermal_offset_db = _cooled_offset(
-        state.thermal_offset_db, state.profile.recovery_tau_s, elapsed_s
-    )
-    return new
+    offset = _cooled_offset(state.thermal_offset_db, state.profile.recovery_tau_s, elapsed_s)
+    return state._replace(thermal_offset_db=offset)
 
 
 def _cooled_offset(offset_db: float, tau_s: float, elapsed_s: float) -> float:

@@ -95,8 +95,7 @@ class CampaignConfig:
             raise ValueError("fuse_threshold_w must be > 0")
 
 
-@dataclass(frozen=True)
-class CampaignStep:
+class CampaignStep(NamedTuple):
     power_dbm_set: float
     power_w_delivered: float
     duration_s: float
@@ -107,8 +106,7 @@ class CampaignStep:
     event: str
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     outcome: CampaignOutcome
     steps: list[CampaignStep]
     final_state: AttenuatorState
@@ -124,7 +122,7 @@ class CampaignResult:
             "outcome": self.outcome.value,
             "final_delta_db": self.final_delta_db,
             "attack_power_dbm": self.attack_power_dbm,
-            "steps": [dict(vars(s)) for s in self.steps],
+            "steps": [s._asdict() for s in self.steps],
         }
 
 
@@ -253,8 +251,7 @@ def run_campaign(
     )
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     n_trials: int
     success_rate: float
     critical_failure_rate: float
@@ -264,7 +261,7 @@ class MonteCarloSummary:
     mean_attack_threshold_dbm: float | None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _check_seed(master_seed: int) -> None:

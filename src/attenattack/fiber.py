@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Standard SMF-28 constants at 1550 nm.
 DEFAULT_ALPHA_PER_KM = 0.05      # natural-log loss, 1/km
@@ -156,8 +157,7 @@ def delivered_power(link: FiberLink, p_in_w: float) -> float:
     return p_in_w * math.exp(-link.alpha_per_km * link.length_km)
 
 
-@dataclass(frozen=True)
-class ThresholdCurve:
+class ThresholdCurve(NamedTuple):
     """SRS/SBS thresholds tabulated over a log-spaced length grid."""
 
     lengths_km: list[float]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 DEFAULT_SUCCESS_THRESHOLD_DB = -1.0
 DEFAULT_FAILURE_THRESHOLD_DB = 3.0
@@ -58,8 +58,7 @@ def classify(delta_attenuation_db: float) -> ImpactClass:
     return ImpactClass.UNAFFECTED
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     delta_attenuation_db: float
     mpn_ratio: float
     mu_before: float
@@ -67,7 +66,7 @@ class ImpactReport:
     classification: ImpactClass
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
         d["classification"] = self.classification.value
         return d
 

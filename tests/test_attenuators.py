@@ -362,6 +362,33 @@ class TestExposureValidation:
         # no later operation changed any earlier state, the VDMC point included
         for seen, snapshot in snapshots:
             assert seen == snapshot
+            # and none could: no field of a state can be assigned
+            for name in type(seen).__annotations__:
+                with pytest.raises(AttributeError):
+                    setattr(seen, name, getattr(seen, name))
+
+    @pytest.mark.parametrize("destroyed", [False, True], ids=["intact", "destroyed"])
+    @pytest.mark.parametrize(
+        "klass, lo, hi",
+        [
+            pytest.param(AttenuatorClass.MANUAL_VOA, 1.5, 80.0, id="manual-voa"),
+            pytest.param(AttenuatorClass.FIXED, 25.0, 25.0, id="fixed"),
+            pytest.param(AttenuatorClass.MEMS_VOA, 0.0, 15.0, id="mems-voa"),  # volts, not dB
+            pytest.param(AttenuatorClass.VDMC_VOA, 0.0, 80.0, id="vdmc-voa"),
+        ],
+    )
+    def test_readout_control_outside_class_range_rejected(self, klass, lo, hi, destroyed):
+        state = new_attenuator(klass)
+        if destroyed and klass in (AttenuatorClass.FIXED, AttenuatorClass.MEMS_VOA):
+            failing = new_attenuator(klass, seed=find_seed(klass, Fate.FAILURE))
+            state, _ = apply_exposure(failing, 9.0, 10.0)
+        elif destroyed:  # no exposure destroys one, but the rule is the same
+            state = state._replace(destroyed=True)
+        assert state.destroyed is destroyed
+        for control in (lo - 0.5, hi + 0.5, math.nan, -math.inf, math.inf):
+            with pytest.raises(ValueError, match="out of range"):
+                attenuation(state, control)
+        assert attenuation(state, lo) >= 0 and attenuation(state, hi) >= 0
 
 
 class TestProfiles:

@@ -1,6 +1,6 @@
 """Every setting and every piece of specimen state is read somewhere.
 
-A dataclass field that nothing reads is a knob that silently does nothing: a
+A field that nothing reads is a knob that silently does nothing: a
 caller or a `--config` file can set it and no output changes. This test
 parses the package source and requires each field of the classes below to
 be read as an attribute (`obj.field`) outside its own class body, where only
@@ -49,7 +49,10 @@ def attribute_reads(outside_class: str) -> set[str]:
     ids=lambda cls: cls.__name__,
 )
 def test_every_field_is_read(cls):
-    fields = {f.name for f in dataclasses.fields(cls)}
+    if hasattr(cls, "_fields"):  # a NamedTuple
+        fields = set(cls._fields)
+    else:
+        fields = {f.name for f in dataclasses.fields(cls)}
     assert fields - attribute_reads(cls.__name__) == set()
 
 
