@@ -76,6 +76,19 @@ def _left_sum(values, start=0):
     return functools.reduce(operator.add, values, start)
 
 
+def _checked(record):
+    """Makes a NamedTuple record's constructor, `_make` and `_replace` run the `_check`
+    its class body holds: it raises ValueError, or returns None or a record to use."""
+    make = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        made = make(cls, *args, **kwargs)
+        return made._check() or made  # a record has fields, so is never false
+
+    record.__new__, record._make = __new__, classmethod(lambda cls, values: cls(*values))
+    return record
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:  # a submodule, as the eager imports once bound it
         return importlib.import_module(f".{name}", __name__)

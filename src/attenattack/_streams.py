@@ -22,6 +22,7 @@ _M128 = 2**128 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_NEG_MIX_MULT_R = -_MIX_MULT_R & _M32
 _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -36,61 +37,66 @@ def _call_constants(init: int, mult: int, start: int, count: int) -> list[int]:
     return constants
 
 
-def _mix_schedule(n_words: int) -> tuple:
-    """The pool hash's calls for n_words of entropy after the first four (one
-    per pool word), as (source word, ((pool word, xor, multiplier), ...)):
-    each pool word's hash mixed into the other three, in order, then each
-    entropy word past the pool's mixed into all four."""
-    a = _call_constants(_INIT_A, _MULT_A, 0, _POOL_SIZE * max(n_words, _POOL_SIZE))
-    calls = iter(range(_POOL_SIZE, len(a)))
-    return tuple(
-        (src, tuple(
-            (dst, a[call], a[call + 1])
-            for dst, call in zip([d for d in range(_POOL_SIZE) if d != src], calls)
-        ))
-        for src in range(max(n_words, _POOL_SIZE))
-    )
-
-
-_A = _call_constants(_INIT_A, _MULT_A, 0, _POOL_SIZE)
-# an entropy of at most four words makes no other call
-_POOL_MIXES = _mix_schedule(_POOL_SIZE)
+_A = _call_constants(_INIT_A, _MULT_A, 0, 4 * _POOL_SIZE)  # a pool hash of 4 words: 16 calls
 # generate_state's constants for the eight words that seed a PCG64
 _B = _call_constants(_INIT_B, _MULT_B, 0, 8)
 
 
-def _pool(entropy) -> list[int]:
-    """SeedSequence(entropy).pool, as four ints, of an int or a sequence of
-    ints: its uint32 words are each int's, low word first, and one for a 0."""
-    words = []
-    for value in (entropy,) if isinstance(entropy, int) else entropy:
-        if value < 0:
-            raise ValueError(f"entropy must be >= 0, got {value}")
-        words += [value >> shift & _M32 for shift in range(0, max(value.bit_length(), 1), 32)]
-    # each hash call XORs its constant, multiplies by the next and folds in
-    # the high half; an unfilled pool word is hashed from 0
-    pool = [(w ^ x) * m & _M32 for w, x, m in zip(words + [0] * _POOL_SIZE, _A, _A[1:])]
-    pool = [hashed ^ hashed >> 16 for hashed in pool]
-    mixes = _POOL_MIXES if len(words) <= _POOL_SIZE else _mix_schedule(len(words))
-    for src, dsts in mixes:
-        value = pool[src] if src < _POOL_SIZE else words[src]
-        for dst, xor, mult in dsts:  # hashed, then mixed into pool[dst]
-            hashed = (value ^ xor) * mult & _M32
-            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * (hashed ^ hashed >> 16) & _M32
-            pool[dst] = mixed ^ mixed >> 16
-    return pool
+def _lanes(values) -> int:
+    """Ints below 2**64 as the 64-bit lanes of one int, the first lowest."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _state_words(entropies, start: int, count: int) -> list[tuple]:
+    """Words start .. start + count - 1 of generate_state(start + count, np.uint64) of
+    each entropy's SeedSequence, in a 64-bit lane each: values stay below 2**32, so no
+    32-bit product leaves a lane, and mix adds, not subtracts, so no borrow does. Up to
+    four words hash as if zero-padded to four and share lanes; more are hashed alone."""
+    packed, n_words = [], 0  # each entropy's uint32 words as one int, the first lowest
+    for entropy in entropies:
+        value = shift = 0
+        for part in (entropy,) if isinstance(entropy, int) else entropy:
+            if part < 0:
+                raise ValueError(f"entropy must be >= 0, got {part}")
+            value |= part << shift  # its words, low first, and one for a 0
+            shift += 32 * max(-(-part.bit_length() // 32), 1)
+        packed.append(value)
+        n_words = max(n_words, shift // 32)
+    if n_words > _POOL_SIZE and len(packed) > 1:
+        raise ValueError("an entropy of more than four words must be hashed alone")
+    ones = _lanes([1] * len(packed))  # a 1 in each lane
+    mask = _M32 * ones
+    a = _A if n_words <= _POOL_SIZE else _call_constants(_INIT_A, _MULT_A, 0, 4 * n_words)
+    calls = zip(a, a[1:])  # hash call i XORs a[i], multiplies by a[i + 1], folds the high half in
+    low, high = _lanes([v & _M64 for v in packed]), _lanes([v >> 64 & _M64 for v in packed])
+    words = (low, low >> 32, high, high >> 32)  # the first four words of each entropy
+    pool = [(w & mask ^ x * ones) * m & mask for w, (x, m) in zip(words, calls)]
+    pool = [hashed ^ hashed >> 16 & mask for hashed in pool]
+    # each pool word is hashed into the other three, then each later word into all four
+    for src in range(max(n_words, _POOL_SIZE)):
+        value = pool[src] if src < _POOL_SIZE else packed[0] >> 32 * src & _M32
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                xor, mult = next(calls)
+                hashed = (value ^ xor * ones) * mult & mask
+                hashed = _NEG_MIX_MULT_R * (hashed ^ hashed >> 16 & mask) & mask
+                mixed = (_MIX_MULT_L * pool[dst] & mask) + hashed & mask
+                pool[dst] = mixed ^ mixed >> 16 & mask
+    b = _B if start == 0 and count <= 4 else _call_constants(_INIT_B, _MULT_B, 2 * start, 2 * count)
+    # uint32 word i hashes pool word i % 4 with call i's constants
+    words = [(pool[(2 * start + i) % 4] ^ b[i] * ones) * b[i + 1] & mask for i in range(2 * count)]
+    words = [hashed ^ hashed >> 16 & mask for hashed in words]
+    # each uint64 is a pair of uint32 words, the first low
+    n = len(packed)
+    return [struct.unpack(f"<{n}Q", (lo | hi << 32).to_bytes(8 * n, "little"))
+            for lo, hi in zip(words[0::2], words[1::2])]
 
 
 def state_words(entropy, start: int, count: int) -> list[int]:
     """uint64 words start .. start + count - 1 of
     SeedSequence(entropy).generate_state(start + count, np.uint64),
     computed without the words before them."""
-    pool = _pool(entropy)
-    b = _B if start == 0 and count <= 4 else _call_constants(_INIT_B, _MULT_B, 2 * start, 2 * count)
-    # uint32 word i hashes pool word i % 4 with call i's constants
-    words = [(pool[(2 * start + i) % 4] ^ b[i]) * b[i + 1] & _M32 for i in range(2 * count)]
-    # each uint64 is a pair of uint32 words, the first low
-    return [lo ^ lo >> 16 | (hi ^ hi >> 16) << 32 for lo, hi in zip(words[0::2], words[1::2])]
+    return [word for (word,) in _state_words([entropy], start, count)]
 
 
 class Generator:
@@ -100,11 +106,22 @@ class Generator:
     __slots__ = ("state", "inc")
 
     def __init__(self, entropy):
-        # pcg64_set_seed: initstate from words 0 and 1, initseq from 2 and
-        # 3, the first of each pair high
-        s_hi, s_lo, q_hi, q_lo = state_words(entropy, 0, 4)
-        self.inc = inc = (q_hi << 65 | q_lo << 1 | 1) & _M128
-        self.state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
+        (seeded,) = self.seeded([entropy])
+        self.state, self.inc = seeded.state, seeded.inc
+
+    @classmethod
+    def seeded(cls, entropies):
+        """Generator(e) for each entropy e, hashed together by _state_words and each
+        built as taken, so none lives on into the collector's oldest generation."""
+        return map(cls._pcg64, *_state_words(entropies, 0, 4))
+
+    @classmethod
+    def _pcg64(cls, s_hi, s_lo, q_hi, q_lo):
+        """pcg64_set_seed: initstate from words 0 and 1, initseq from 2 and 3, high first."""
+        rng = cls.__new__(cls)
+        rng.inc = inc = (q_hi << 65 | q_lo << 1 | 1) & _M128
+        rng.state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
+        return rng
 
     def next_uint64(self) -> int:
         """The LCG's next state, output by XSL-RR."""

@@ -23,9 +23,9 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields, asdict
 from typing import NamedTuple
 
+from . import _checked
 from ._streams import Generator
 from .fiber import dbm_to_watts, watts_to_dbm
 
@@ -47,12 +47,12 @@ class OutcomeKind(enum.Enum):
     CRITICAL_FAILURE = "CriticalFailure"
 
 
-@dataclass(frozen=True)
-class ExposureOutcome:
+@_checked
+class ExposureOutcome(NamedTuple):
     kind: OutcomeKind
     delta_db: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind in (OutcomeKind.TEMPORARY_DROP, OutcomeKind.PERMANENT_DROP):
             if self.delta_db >= 0:
                 raise ValueError("drop outcomes require delta_db < 0")
@@ -60,8 +60,8 @@ class ExposureOutcome:
             raise ValueError("critical failure requires delta_db > 0")
 
 
-@dataclass(frozen=True)
-class DamageProfile:
+@_checked
+class DamageProfile(NamedTuple):
     """Class-level damage statistics a sample population is drawn from."""
 
     attack_threshold_dbm: float
@@ -73,14 +73,14 @@ class DamageProfile:
     recovery_tau_s: float = 150.0
     insertion_loss_floor_db: float = 0.0
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def _check(self):
+        for name, value in zip(self._fields, self):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if isinstance(value, int):  # JSON writes whole numbers as ints
                 if abs(value) > sys.float_info.max:
                     raise ValueError(f"{name} is beyond the float range")
-                object.__setattr__(self, name, value := float(value))
+                return self._replace(**{name: float(value)})  # checked anew
             if math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
         # +inf (null in a config) means no threshold within reach; -inf
@@ -445,9 +445,9 @@ def apply_exposure(
     """
     if state.destroyed:
         raise ValueError("cannot expose a destroyed attenuator")
-    if power_w < 0:
+    if not power_w >= 0:  # NaN fails too
         raise ValueError(f"power_w must be >= 0, got {power_w}")
-    if duration_s <= 0:
+    if not duration_s > 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
 
     if power_w == 0.0:
@@ -502,8 +502,9 @@ def _expose_vdmc(state: AttenuatorState, power_w, p_dbm, duration_s):
     point = old._replace(tier_times_s=times, max_power_w=max(old.max_power_w, power_w))
     outcome = _NO_CHANGE
     if cleared:
+        dip_rng = None if old.damaged else Generator([state.seed, *_dip_tail(state.control)])
         point, outcome = _damaged_vdmc_point(
-            state, state.seed, point, power_w, old.max_power_w, p_dbm >= thr
+            state, dip_rng, point, power_w, old.max_power_w, p_dbm >= thr
         )
     return state._replace(vdmc_point=point), outcome
 
@@ -518,11 +519,11 @@ def _exposed_tier_times(times: tuple, thr: float, p_dbm: float, duration_s: floa
 
 
 def _damaged_vdmc_point(
-    state: AttenuatorState, seed: int, point: VdmcPoint, power_w, max_power_w, optimal: bool
+    state: AttenuatorState, dip_rng, point: VdmcPoint, power_w, max_power_w, optimal: bool
 ) -> tuple[VdmcPoint, ExposureOutcome]:
-    """`point` of the specimen of `seed` after an exposure at power_w that
-    clears the law, with its outcome: max_power_w is the highest power the
-    point saw before. `state` gives the profile and control."""
+    """`point` after an exposure at power_w that clears the law, with its
+    outcome: max_power_w is the highest power the point saw before, and an
+    undamaged one draws its dip from `dip_rng`. `state` gives the profile and control."""
     if point.damaged:
         # repeated exposure at clearly higher power deepens the dip with
         # diminishing returns; damage never self-heals
@@ -538,8 +539,7 @@ def _damaged_vdmc_point(
             return deeper, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
         return deeper, _NO_CHANGE
 
-    rng = Generator([seed, *_dip_tail(state.control)])
-    point = _drawn_vdmc_point(state, rng, point, optimal)
+    point = _drawn_vdmc_point(state, dip_rng, point, optimal)
     if not point.damaged:
         return point, _NO_CHANGE
     delta = _measured_vdmc_delta(state, point)
@@ -559,8 +559,8 @@ def _drawn_vdmc_point(
     state: AttenuatorState, rng, point: VdmcPoint, optimal: bool
 ) -> VdmcPoint:
     """`point` after an exposure that clears the law: unchanged if the point
-    is not vulnerable, else damaged with a dip, drawn from `rng`, seeded by
-    the specimen's seed and _dip_tail. `state` gives the profile and control."""
+    is not vulnerable, else damaged with a dip, drawn from `rng`. `state`
+    gives the profile and control."""
     profile = state.profile
     if not rng.random() < profile.success_probability:
         return point
@@ -605,7 +605,7 @@ _EXPOSE = {
 
 def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:
     """Exponential decay of the thermal offset; permanent damage untouched."""
-    if elapsed_s < 0:
+    if not elapsed_s >= 0:  # NaN fails too
         raise ValueError(f"elapsed_s must be >= 0, got {elapsed_s}")
     offset = _cooled_offset(state.thermal_offset_db, state.profile.recovery_tau_s, elapsed_s)
     return state._replace(thermal_offset_db=offset)
@@ -623,9 +623,10 @@ def _cooled_offset(offset_db: float, tau_s: float, elapsed_s: float) -> float:
 # --- rung readouts -----------------------------------------------------------
 # One function per class takes a fresh specimen `first` of a campaign's class,
 # profile and setpoint, its readout `baseline`, and the delivered watts and
-# dBm of the ladder's exposed rungs, which never fall. It returns a walk, from
-# a specimen's seed to (rung, immediate, after, event) for each rung from the
-# first whose exposure can change the specimen, as run_campaign and
+# dBm of the ladder's exposed rungs, which never fall. It returns (walk, tails):
+# per stream a specimen draws from, what follows its seed in the entropy, and
+# a walk from those streams to (rung, immediate, after, event) for each rung
+# from the first whose exposure can change the specimen, as run_campaign and
 # apply_exposure give them, bit for bit; each earlier rung reads `baseline`
 # with NoChange. A specimen over a threshold at one rung is over it at every
 # later one, so `bisect` finds that rung. An enum's `value` is slow, so the
@@ -640,8 +641,8 @@ def _fixed_rungs(first, baseline, p_w, p_dbm, config):
     floor, tau_s = profile.insertion_loss_floor_db, profile.recovery_tau_s
     scales = [_fixed_heat_scale(profile, w) for w in p_w]
 
-    def walk(seed):
-        thr_a, thr_f, fate, drop_db, increase_db = _draws(first.klass, profile, Generator(seed))
+    def walk(rng):
+        thr_a, thr_f, fate, drop_db, increase_db = _draws(first.klass, profile, rng)
         failing = fate is Fate.FAILURE
         for k in range(bisect_left(p_dbm, thr_a), len(p_w)):
             if failing and p_dbm[k] >= thr_f:
@@ -652,7 +653,7 @@ def _fixed_rungs(first, baseline, p_w, p_dbm, config):
             cooled = _cooled_offset(offset, tau_s, config.cooldown_s)
             yield k, max(setpoint + offset, floor), max(setpoint + cooled, floor), TEMPORARY_EVENT
 
-    return walk
+    return walk, [()]
 
 
 def _mems_rungs(first, baseline, p_w, p_dbm, config):
@@ -661,8 +662,8 @@ def _mems_rungs(first, baseline, p_w, p_dbm, config):
     # damage is written at the control's level, the only one read here
     level = mems_voltage_to_attenuation(first.control)
 
-    def walk(seed):
-        thr_a, thr_f, fate, drop_db, _ = _draws(first.klass, first.profile, Generator(seed))
+    def walk(rng):
+        thr_a, thr_f, fate, drop_db, _ = _draws(first.klass, first.profile, rng)
         if fate is Fate.FAILURE:
             k = bisect_left(p_dbm, thr_f)
             if k < len(p_w):
@@ -675,14 +676,14 @@ def _mems_rungs(first, baseline, p_w, p_dbm, config):
                 yield k, damaged, damaged, event
                 event = NO_CHANGE_EVENT
 
-    return walk
+    return walk, [()]
 
 
 def _vdmc_rungs(first, baseline, p_w, p_dbm, config):
     control, floor = first.control, first.profile.insertion_loss_floor_db
 
-    def walk(seed):
-        thr = _draws(first.klass, first.profile, Generator(seed))[0]
+    def walk(rng, dip_rng):
+        thr = _draws(first.klass, first.profile, rng)[0]
         point = VdmcPoint()  # its dip, once drawn; its other exposure fields are unused
         times = point.tier_times_s
         for k in range(bisect_left(p_dbm, thr + min(VDMC_TIER_OFFSETS_DB)), len(p_w)):
@@ -692,18 +693,18 @@ def _vdmc_rungs(first, baseline, p_w, p_dbm, config):
             # power never falls, so the highest the point saw is the rung before's
             highest_w = p_w[k - 1] if k else 0.0
             optimal = p_dbm[k] >= thr
-            point, outcome = _damaged_vdmc_point(first, seed, point, p_w[k], highest_w, optimal)
+            point, outcome = _damaged_vdmc_point(first, dip_rng, point, p_w[k], highest_w, optimal)
             if not point.damaged:  # every later draw gives the same
                 return
             # no exposure heats a VDMC, so after equals immediate
             after = max(control + _vdmc_dip_db(point, control), floor)
             yield k, after, after, outcome.kind.value
 
-    return walk
+    return walk, [(), _dip_tail(control)]
 
 
 RUNG_READOUTS = {
-    AttenuatorClass.MANUAL_VOA: lambda first, baseline, p_w, p_dbm, config: lambda seed: (),
+    AttenuatorClass.MANUAL_VOA: lambda first, baseline, p_w, p_dbm, config: (lambda: (), []),
     AttenuatorClass.FIXED: _fixed_rungs,
     AttenuatorClass.MEMS_VOA: _mems_rungs,
     AttenuatorClass.VDMC_VOA: _vdmc_rungs,
@@ -712,7 +713,7 @@ RUNG_READOUTS = {
 
 # --- profile config loading -------------------------------------------------
 
-_PROFILE_FIELDS = frozenset(f.name for f in fields(DamageProfile))
+_PROFILE_FIELDS = frozenset(DamageProfile._fields)
 
 # The profile fields each class's model reads. A config may set no other for
 # the class, as it would change nothing: a manual VOA reads no field, and
@@ -731,7 +732,7 @@ class ProfileConfigError(ValueError):
 
 
 def profile_to_dict(profile: DamageProfile) -> dict:
-    d = asdict(profile)
+    d = profile._asdict()
     for k in ("attack_threshold_dbm", "failure_threshold_dbm"):
         if math.isinf(d[k]):
             d[k] = None

@@ -13,10 +13,10 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
-from ._streams import state_words
+from . import _checked
+from ._streams import Generator, state_words
 from .fiber import (
     FiberLink,
     LaserSource,
@@ -65,8 +65,8 @@ class CampaignOutcome(enum.Enum):
     FIBER_FUSE_DOS = "FiberFuseDoS"
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+@_checked
+class CampaignConfig(NamedTuple):
     start_power_dbm: float = 25.0
     step_dbm: float = 0.5
     dwell_s: float = 10.0
@@ -77,8 +77,8 @@ class CampaignConfig:
     connectorized_output: bool = False
     fuse_threshold_w: float = 4.5
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def _check(self):
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.start_power_dbm > self.max_power_dbm:
@@ -132,7 +132,7 @@ def document_header(
     """The keys a campaign document shares with a Monte Carlo one."""
     return {
         "schema": SCHEMA_VERSION,
-        "config": asdict(config),
+        "config": config._asdict(),
         "attenuator_class": klass.value,
         "setpoint_db": setpoint_db,
         "seed": seed,
@@ -334,14 +334,17 @@ def _trials(
     fused = fuse[-1]  # only the last rung can trip the fuse
     n_exposed = len(rungs) - fused
     duration = [0.0 if f else config.dwell_s for f in fuse]
-    walk = RUNG_READOUTS[klass](first, baseline, p_w[:n_exposed], p_dbm[:n_exposed], config)
+    walk, tails = RUNG_READOUTS[klass](first, baseline, p_w[:n_exposed], p_dbm[:n_exposed], config)
     unchanged = [NO_CHANGE_EVENT] * n_exposed + [FUSE_TRIP] * fused
     for lo in range(0, n_trials, _BATCH_TRIALS):
-        for trial_seed in trial_seeds(seed, min(_BATCH_TRIALS, n_trials - lo), lo):
+        seeds = trial_seeds(seed, min(_BATCH_TRIALS, n_trials - lo), lo)
+        # the block's streams from one hash call, each trial's one per tail
+        streams = Generator.seeded([[trial_seed, *tail] for trial_seed in seeds for tail in tails])
+        for trial_seed in seeds:
             immediate = [baseline] * len(rungs)
             after = immediate.copy()
             events = unchanged.copy()
-            for k, shown, cooled, event in walk(trial_seed):
+            for k, shown, cooled, event in walk(*[next(streams) for _ in tails]):
                 immediate[k], after[k], events[k] = shown, cooled, event
                 # apply_exposure destroys a specimen exactly when it reports CriticalFailure
                 destroyed = event == CRITICAL_EVENT

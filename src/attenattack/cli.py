@@ -166,6 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     common = argparse.ArgumentParser(add_help=False)  # flags of every subcommand
+    laser_defaults = fiber.LaserSource._field_defaults  # a class attribute is a field's getter
+    config_defaults = CampaignConfig._field_defaults
+    risk_defaults = RiskQuery._field_defaults
     common.add_argument("--out", default=None)
 
     p = sub.add_parser("thresholds", help="SRS/SBS threshold curve CSV", parents=[common])
@@ -173,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-min-km", type=float, default=0.01)
     p.add_argument("--l-max-km", type=float, default=20.0)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--linewidth-ghz", type=float, default=fiber.LaserSource.linewidth_ghz)
+    p.add_argument("--linewidth-ghz", type=float, default=laser_defaults["linewidth_ghz"])
     p.add_argument("--alpha-per-km", type=float, default=fiber.DEFAULT_ALPHA_PER_KM)
     p.add_argument("--a-eff-um2", type=float, default=fiber.DEFAULT_A_EFF_UM2)
     p.add_argument("--g-r-m-per-w", type=float, default=fiber.DEFAULT_G_R_M_PER_W)
@@ -195,14 +198,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="JSON damage-profile overrides")
     p.add_argument("--per-trial", action="store_true", help="include per-trial logs")
-    p.add_argument("--start-dbm", type=float, default=CampaignConfig.start_power_dbm)
-    p.add_argument("--step-dbm", type=float, default=CampaignConfig.step_dbm)
-    p.add_argument("--max-dbm", type=float, default=CampaignConfig.max_power_dbm)
-    p.add_argument("--dwell-s", type=float, default=CampaignConfig.dwell_s)
-    p.add_argument("--cooldown-s", type=float, default=CampaignConfig.cooldown_s)
+    p.add_argument("--start-dbm", type=float, default=config_defaults["start_power_dbm"])
+    p.add_argument("--step-dbm", type=float, default=config_defaults["step_dbm"])
+    p.add_argument("--max-dbm", type=float, default=config_defaults["max_power_dbm"])
+    p.add_argument("--dwell-s", type=float, default=config_defaults["dwell_s"])
+    p.add_argument("--cooldown-s", type=float, default=config_defaults["cooldown_s"])
     p.add_argument("--length-km", type=float, default=DEFAULT_LINK.length_km)
     p.add_argument("--connectorized", action="store_true")
-    p.add_argument("--fuse-threshold-w", type=float, default=CampaignConfig.fuse_threshold_w)
+    p.add_argument("--fuse-threshold-w", type=float, default=config_defaults["fuse_threshold_w"])
 
     p = sub.add_parser("impact", help="mean-photon-number impact report", parents=[common])
     p.set_defaults(handler=_cmd_impact)
@@ -214,10 +217,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tested", type=int, default=5)
     p.add_argument("--compromised", type=int, default=4)
     p.add_argument("--dos", type=int, default=1)
-    p.add_argument("--population", type=int, default=RiskQuery.population_total)
-    p.add_argument("--fraction", type=float, default=RiskQuery.vulnerable_fraction)
+    p.add_argument("--population", type=int, default=risk_defaults["population_total"])
+    p.add_argument("--fraction", type=float, default=risk_defaults["vulnerable_fraction"])
     p.add_argument(
-        "--prior", choices=[pr.value for pr in Prior], default=RiskQuery.prior.value
+        "--prior", choices=[pr.value for pr in Prior], default=risk_defaults["prior"].value
     )
 
     return parser

@@ -9,8 +9,9 @@ SI units (W, m); dBm and um^2 appear only at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from . import _checked
 
 # Standard SMF-28 constants at 1550 nm.
 DEFAULT_ALPHA_PER_KM = 0.05      # natural-log loss, 1/km
@@ -38,8 +39,8 @@ def watts_to_dbm(p_w: float) -> float:
     return 10.0 * math.log10(p_w * 1000.0)
 
 
-@dataclass(frozen=True)
-class FiberLink:
+@_checked
+class FiberLink(NamedTuple):
     """Geometry and material constants of the injection fiber."""
 
     length_km: float
@@ -49,7 +50,7 @@ class FiberLink:
     g_b_m_per_w: float = DEFAULT_G_B_M_PER_W
     delta_nu_b_mhz: float = DEFAULT_DELTA_NU_B_MHZ
 
-    def __post_init__(self):
+    def _check(self):
         # `< math.inf` also rejects NaN, which fails every comparison
         if not 0 < self.length_km < math.inf:
             raise ValueError(f"length_km must be finite and > 0, got {self.length_km}")
@@ -60,14 +61,14 @@ class FiberLink:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class LaserSource:
+@_checked
+class LaserSource(NamedTuple):
     """The attacker's c.w. laser (amplified diode)."""
 
     max_power_w: float = 9.0
     linewidth_ghz: float = 10.0
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.max_power_w < math.inf:
             raise ValueError(f"max_power_w must be finite and >= 0, got {self.max_power_w}")
         if not 0 <= self.linewidth_ghz < math.inf:

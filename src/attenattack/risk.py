@@ -14,9 +14,9 @@ import math
 import sys
 import threading
 import types
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import _left_sum
+from . import _checked, _left_sum
 
 
 class Prior(enum.Enum):
@@ -34,15 +34,15 @@ _PRIOR_PARAMS = {
 MAX_POPULATION = 10**6
 
 
-@dataclass(frozen=True)
-class TestRecord:
+@_checked
+class TestRecord(NamedTuple):
     __test__ = False  # not a pytest class despite the name
 
     n_tested: int
     n_compromised: int
     n_dos: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if min(self.n_tested, self.n_compromised, self.n_dos) < 0:
             raise ValueError("counts must be non-negative")
         if self.n_compromised + self.n_dos > self.n_tested:
@@ -52,14 +52,14 @@ class TestRecord:
             )
 
 
-@dataclass(frozen=True)
-class RiskQuery:
+@_checked
+class RiskQuery(NamedTuple):
     record: TestRecord
     population_total: int = 50
     vulnerable_fraction: float = 0.2
     prior: Prior = Prior.JEFFREYS
 
-    def __post_init__(self):
+    def _check(self):
         if self.population_total < self.record.n_tested:
             raise ValueError("population smaller than the number tested")
         if self.population_total > MAX_POPULATION:

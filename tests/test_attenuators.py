@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 from unittest.mock import patch
@@ -101,8 +100,7 @@ class TestManualVoa:
     def test_draws_nothing(self):
         # nothing reads a manual specimen's draws, so even finite profile
         # thresholds leave its sampled ones inf
-        profile = dataclasses.replace(
-            DEFAULT_PROFILES[AttenuatorClass.MANUAL_VOA],
+        profile = DEFAULT_PROFILES[AttenuatorClass.MANUAL_VOA]._replace(
             attack_threshold_dbm=30.0, failure_threshold_dbm=31.0, success_probability=1.0,
         )
         with patch.object(attenuators, "Generator", side_effect=AssertionError("drawn")):
@@ -171,9 +169,9 @@ class TestFixed:
     )
     def test_profile_that_can_draw_no_drop_rejected_for_every_seed(self, mean, spread, success_p):
         # the drop is clipped at |mean| - 1.8 spread, here <= 0 dB
-        profile = dataclasses.replace(
-            DEFAULT_PROFILES[AttenuatorClass.FIXED], success_delta_db_mean=mean,
-            success_delta_db_spread=spread, success_probability=success_p, failure_probability=0.0,
+        profile = DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(
+            success_delta_db_mean=mean, success_delta_db_spread=spread,
+            success_probability=success_p, failure_probability=0.0,
         )
         for seed in range(30):
             with pytest.raises(ValueError, match="success_delta_db_mean.*success_delta_db_spread"):
@@ -182,27 +180,22 @@ class TestFixed:
     @pytest.mark.parametrize("attack", [-4000.0, -1e308])
     def test_profile_whose_threshold_underflows_rejected_for_every_seed(self, attack):
         # the thermal drop scales by power over the threshold's watts, here 0.0
-        profile = dataclasses.replace(
-            DEFAULT_PROFILES[AttenuatorClass.FIXED], attack_threshold_dbm=attack
-        )
+        profile = DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(attack_threshold_dbm=attack)
         for seed in range(30):
             with pytest.raises(ValueError, match="underflows to 0 W"):
                 new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
 
     def test_threshold_of_denormal_watts_accepted(self):
         # -3200 dBm is about 1e-323 W: the heat scale saturates at its cap
-        profile = dataclasses.replace(
-            DEFAULT_PROFILES[AttenuatorClass.FIXED], attack_threshold_dbm=-3200.0
-        )
+        profile = DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(attack_threshold_dbm=-3200.0)
         for seed in range(10):
             state = new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
             _, out = apply_exposure(state, 4.0, 60.0)
             assert out.kind in (OutcomeKind.TEMPORARY_DROP, OutcomeKind.CRITICAL_FAILURE)
 
     def test_profile_without_successes_may_draw_any_drop(self):
-        profile = dataclasses.replace(
-            DEFAULT_PROFILES[AttenuatorClass.FIXED], success_delta_db_mean=-0.1,
-            success_delta_db_spread=0.5, success_probability=0.0,
+        profile = DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(
+            success_delta_db_mean=-0.1, success_delta_db_spread=0.5, success_probability=0.0,
         )
         assert new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=1).fate is not Fate.SUCCESS
 
@@ -324,6 +317,17 @@ class TestExposureValidation:
         with pytest.raises(ValueError):
             cool_down(state, -5.0)
 
+    @pytest.mark.parametrize("klass", list(AttenuatorClass))
+    def test_nan_arguments_rejected(self, klass):
+        # NaN fails every comparison, so a check such as `power_w < 0` passes it
+        state = new_attenuator(klass, seed=3)
+        with pytest.raises(ValueError, match="power_w must be >= 0, got nan"):
+            apply_exposure(state, math.nan, 10.0)
+        with pytest.raises(ValueError, match="duration_s must be > 0, got nan"):
+            apply_exposure(state, 1.0, math.nan)
+        with pytest.raises(ValueError, match="elapsed_s must be >= 0, got nan"):
+            cool_down(state, math.nan)
+
     def test_trajectory_determinism(self):
         def run(seed):
             state = new_attenuator(AttenuatorClass.VDMC_VOA, None, 53.0, seed=seed)
@@ -413,20 +417,20 @@ class TestProfiles:
             )
 
     @pytest.mark.parametrize(
-        "name", [f.name for f in dataclasses.fields(DamageProfile) if f.type == "float"]
+        "name", DamageProfile._fields  # each a float
     )
     def test_nan_field_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must not be NaN"):
-            dataclasses.replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], **{name: math.nan})
+            DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(**{name: math.nan})
 
     @pytest.mark.parametrize(
         "name, value",
         [
-            (f.name, value)
-            for f in dataclasses.fields(DamageProfile)
+            (name, value)
+            for name in DamageProfile._fields
             for value in [None, "abc", True, False, [1.0], {}]
             # a null threshold means none within reach
-            if not (value is None and f.name.endswith("threshold_dbm"))
+            if not (value is None and name.endswith("threshold_dbm"))
         ],
     )
     def test_field_that_is_not_a_number_rejected(self, name, value):
@@ -434,7 +438,7 @@ class TestProfiles:
         with pytest.raises(ProfileConfigError, match=f"{name} must be a number"):
             profile_from_dict(base, {name: value})
         with pytest.raises(ValueError, match=f"{name} must be a number"):
-            dataclasses.replace(base, **{name: value})
+            base._replace(**{name: value})
 
     def test_whole_numbers_held_as_floats(self):
         # a JSON config writes 60.0 as 60; both engines must then write 60.0
@@ -451,19 +455,19 @@ class TestProfiles:
         vdmc = DEFAULT_PROFILES[AttenuatorClass.VDMC_VOA]
         message = r"insertion_loss_floor_db must be finite and in \[0, 80\] dB"
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(vdmc, insertion_loss_floor_db=floor)
+            vdmc._replace(insertion_loss_floor_db=floor)
 
     @pytest.mark.parametrize("klass", list(AttenuatorClass))
     def test_minus_infinite_attack_threshold_rejected(self, klass):
         # only +inf means no threshold within reach; -inf once meant the same,
         # though -1e308 means damage at any power
         with pytest.raises(ValueError, match="attack_threshold_dbm must not be -inf"):
-            dataclasses.replace(DEFAULT_PROFILES[klass], attack_threshold_dbm=-math.inf)
+            DEFAULT_PROFILES[klass]._replace(attack_threshold_dbm=-math.inf)
 
     @pytest.mark.parametrize("floor", [0.0, 80.0])
     def test_floor_at_the_ends_of_its_range_accepted(self, floor):
         vdmc = DEFAULT_PROFILES[AttenuatorClass.VDMC_VOA]
-        profile = dataclasses.replace(vdmc, insertion_loss_floor_db=floor)
+        profile = vdmc._replace(insertion_loss_floor_db=floor)
         assert attenuation(new_attenuator(AttenuatorClass.VDMC_VOA, profile)) == max(53.0, floor)
 
     def test_whole_number_beyond_float_range_rejected(self):
@@ -474,7 +478,7 @@ class TestProfiles:
 
     def test_infinite_thresholds_accepted(self):
         manual = DEFAULT_PROFILES[AttenuatorClass.MANUAL_VOA]
-        assert dataclasses.replace(manual).attack_threshold_dbm == math.inf
+        assert manual._replace().attack_threshold_dbm == math.inf
         assert profile_from_dict(manual, {"attack_threshold_dbm": None}) == manual
 
     def test_defaults_match_sample_populations(self):

@@ -1,7 +1,6 @@
 import json
 import re
 import tracemalloc
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -343,7 +342,7 @@ def batched_inputs(draw, classes=BATCHED_CLASSES):
     else:
         overrides["success_delta_db_mean"] = draw(usually(-5.34, [-0.5], -10.0, -0.5))
         overrides["success_delta_db_spread"] = draw(usually(2.5, [0.0], 0.0, 3.0))
-    profile = replace(default, **overrides)
+    profile = default._replace(**overrides)
 
     # 20 km and longer caps the ladder at the SRS/SBS limit; at 1e5 km the
     # delivered power underflows to 0 W
@@ -417,9 +416,10 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
 @example(
     inputs=(
         AttenuatorClass.FIXED,
-        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], success_probability=1.0,
-                failure_probability=0.0, success_delta_db_mean=-0.1,
-                success_delta_db_spread=0.5),
+        DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(
+            success_probability=1.0, failure_probability=0.0, success_delta_db_mean=-0.1,
+            success_delta_db_spread=0.5,
+        ),
         25.0, CampaignConfig(), LINK_20M,
     ),
     seed=0, n_trials=20, batch=3,
@@ -428,8 +428,9 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
 @example(
     inputs=(
         AttenuatorClass.FIXED,
-        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], attack_threshold_dbm=-4000.0,
-                failure_threshold_dbm=37.0),
+        DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(
+            attack_threshold_dbm=-4000.0, failure_threshold_dbm=37.0
+        ),
         25.0, CampaignConfig(), LINK_20M,
     ),
     seed=11, n_trials=5, batch=2,
@@ -485,7 +486,7 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
 )
 # VDMC: every point resistant
 @example(
-    inputs=(VDMC, replace(VDMC_PROFILE, success_probability=0.0), 53.0, CampaignConfig(), LINK_20M),
+    inputs=(VDMC, VDMC_PROFILE._replace(success_probability=0.0), 53.0, CampaignConfig(), LINK_20M),
     seed=3, n_trials=8, batch=3,
 )
 # VDMC: a 300 s dwell clears the law below the threshold, a skewed dip
@@ -544,8 +545,9 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
 @example(
     inputs=(
         AttenuatorClass.MEMS_VOA,
-        replace(DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], success_probability=1.0,
-                failure_probability=0.0),
+        DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA]._replace(
+            success_probability=1.0, failure_probability=0.0
+        ),
         20.0, CampaignConfig(success_delta_db=-20.0), LINK_20M,
     ),
     seed=13, n_trials=20, batch=7,
@@ -555,8 +557,9 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
 @example(
     inputs=(
         AttenuatorClass.FIXED,
-        replace(DEFAULT_PROFILES[AttenuatorClass.FIXED], insertion_loss_floor_db=80.0,
-                success_probability=0.0, failure_probability=1.0),
+        DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(
+            insertion_loss_floor_db=80.0, success_probability=0.0, failure_probability=1.0
+        ),
         25.0, CampaignConfig(), LINK_20M,
     ),
     seed=19, n_trials=10, batch=4,
@@ -564,14 +567,14 @@ def assert_engines_agree(inputs, seed, n_trials, batch):
 @example(
     inputs=(
         AttenuatorClass.MEMS_VOA,
-        replace(DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA], insertion_loss_floor_db=80.0),
+        DEFAULT_PROFILES[AttenuatorClass.MEMS_VOA]._replace(insertion_loss_floor_db=80.0),
         30.0, CampaignConfig(), LINK_20M,
     ),
     seed=20, n_trials=20, batch=7,
 )
 # a whole-number floor, as a JSON config gives it, above the setpoint
 @example(
-    inputs=(VDMC, replace(VDMC_PROFILE, insertion_loss_floor_db=60), 53.0, CampaignConfig(),
+    inputs=(VDMC, VDMC_PROFILE._replace(insertion_loss_floor_db=60), 53.0, CampaignConfig(),
             LINK_20M),
     seed=14, n_trials=5, batch=2,
 )

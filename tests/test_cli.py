@@ -557,9 +557,10 @@ def test_defaults_come_from_the_library():
     impact_args = parser.parse_args(["impact", "--delta-db", "-1"])
     assert impact_args.mu0 == inspect.signature(impact_report).parameters["mu_before"].default
     risk_args = parser.parse_args(["risk"])
-    assert risk_args.population == RiskQuery.population_total
-    assert risk_args.fraction == RiskQuery.vulnerable_fraction
-    assert risk_args.prior == RiskQuery.prior.value
+    defaults = RiskQuery._field_defaults
+    assert risk_args.population == defaults["population_total"]
+    assert risk_args.fraction == defaults["vulnerable_fraction"]
+    assert risk_args.prior == defaults["prior"].value
 
 
 # A value for each profile field a class reads that changes a seeded
@@ -844,6 +845,26 @@ print(gc.isenabled(), gc.get_freeze_count() > 0)
     assert cp.returncode == 0, cp.stderr
     # the process entry also leaves the collector off and the heap frozen
     assert cp.stdout == expected + "\nFalse True\n"
+
+
+def test_main_module_runs_no_collection():
+    # __main__ turns the collector off before it imports cli, whose imports
+    # would otherwise run collections before run() turns it off
+    code = """
+import contextlib, gc, io, runpy, sys
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info))
+sys.argv = ["attenattack", "campaign", "--class", "fixed", "--trials", "200"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("attenattack", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(len(passes))
+"""
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "0\n"
 
 
 def test_console_script_runs_one_blas_thread():

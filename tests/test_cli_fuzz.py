@@ -15,7 +15,6 @@ whole numbers, and `--trials` at most 5, so that each case takes milliseconds.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -174,7 +173,7 @@ NOT_NUMBERS = [None, "abc", True]
 FIELD_VALUES = st.one_of(
     st.sampled_from(FIELD_EDGES), st.sampled_from(NOT_NUMBERS), st.floats(-50, 50), st.floats()
 )
-PROFILE_FIELDS = [f.name for f in dataclasses.fields(DamageProfile)]
+PROFILE_FIELDS = list(DamageProfile._fields)
 # A null threshold means none within reach; any other null is no number.
 NULLABLE = {"attack_threshold_dbm", "failure_threshold_dbm"}
 

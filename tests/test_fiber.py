@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -235,7 +234,7 @@ class TestThresholdCurve:
     def test_bit_equal_to_per_length_link(self, template, laser):
         curve = threshold_curve(template, laser, 0.003, 40.0, 37)
         for l_km, srs, sbs in zip(curve.lengths_km, curve.p_srs_w, curve.p_sbs_w):
-            link = replace(template, length_km=l_km)
+            link = template._replace(length_km=l_km)
             assert srs == srs_threshold(link)
             assert sbs == sbs_threshold(link, laser)
 

@@ -9,7 +9,6 @@ counted as read when another object's attribute of that name is.
 """
 
 import ast
-import dataclasses
 import re
 from pathlib import Path
 
@@ -49,11 +48,7 @@ def attribute_reads(outside_class: str) -> set[str]:
     ids=lambda cls: cls.__name__,
 )
 def test_every_field_is_read(cls):
-    if hasattr(cls, "_fields"):  # a NamedTuple
-        fields = set(cls._fields)
-    else:
-        fields = {f.name for f in dataclasses.fields(cls)}
-    assert fields - attribute_reads(cls.__name__) == set()
+    assert set(cls._fields) - attribute_reads(cls.__name__) == set()
 
 
 def test_readme_lists_the_recognized_profile_fields():

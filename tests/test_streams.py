@@ -53,6 +53,33 @@ def test_streams_are_default_rngs(entropies):
         assert_same_draws(ours, reference)
 
 
+# an entropy of at most four uint32 words, which a block of them hashes in lanes
+SHORT_ENTROPIES = (
+    st.integers(0, 2**128 - 1)
+    | st.lists(st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1]), min_size=1, max_size=4)
+    | st.tuples(st.integers(2**32, 2**64 - 1), st.integers(0, 2**64 - 1)).map(list)
+    | st.tuples(UINT64_SEEDS, st.integers(0, 80000), st.just(0x5D)).map(list)
+)
+
+
+@example(entropies=[0, 2**64 - 1, [0], [2**64 - 1, 0], [1, 2, 3, 4], 2**128 - 1, [0, 0, 0x5D]])
+@settings(max_examples=100, deadline=None)
+@given(entropies=st.lists(SHORT_ENTROPIES, min_size=1, max_size=40))
+def test_a_block_seeds_each_entropy_as_default_rng_does(entropies):
+    for entropy, ours in zip(entropies, Generator.seeded(entropies), strict=True):
+        reference = np.random.default_rng(entropy)
+        alone = Generator(entropy)  # a block of one
+        assert (ours.state, ours.inc) == (alone.state, alone.inc) == pcg_state(reference)
+        assert_same_draws(ours, reference)
+
+
+def test_a_longer_entropy_is_hashed_alone():
+    (ours,) = Generator.seeded([2**200])
+    assert (ours.state, ours.inc) == pcg_state(np.random.default_rng(2**200))
+    with pytest.raises(ValueError, match="more than four words"):
+        Generator.seeded([1, 2**200])
+
+
 @example(entropy=2**200, start=0, count=20)
 @settings(max_examples=200, deadline=None)
 @given(
