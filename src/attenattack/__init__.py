@@ -27,8 +27,6 @@ _EXPORTS = {
         "AttenuatorState",
         "DamageProfile",
         "DEFAULT_PROFILES",
-        "ExposureOutcome",
-        "OutcomeKind",
         "apply_exposure",
         "attenuation",
         "cool_down",

@@ -40,24 +40,12 @@ class AttenuatorClass(enum.Enum):
     VDMC_VOA = "vdmc-voa"
 
 
-class OutcomeKind(enum.Enum):
-    NO_CHANGE = "NoChange"
-    TEMPORARY_DROP = "TemporaryDrop"
-    PERMANENT_DROP = "PermanentDrop"
-    CRITICAL_FAILURE = "CriticalFailure"
-
-
-@_checked
-class ExposureOutcome(NamedTuple):
-    kind: OutcomeKind
-    delta_db: float = 0.0
-
-    def _check(self):
-        if self.kind in (OutcomeKind.TEMPORARY_DROP, OutcomeKind.PERMANENT_DROP):
-            if self.delta_db >= 0:
-                raise ValueError("drop outcomes require delta_db < 0")
-        if self.kind is OutcomeKind.CRITICAL_FAILURE and self.delta_db <= 0:
-            raise ValueError("critical failure requires delta_db > 0")
+# An exposure's event, as apply_exposure returns it and a campaign step carries
+# it: the readout held, dropped until cooled, dropped for good, or destroyed.
+NO_CHANGE_EVENT = "NoChange"
+TEMPORARY_EVENT = "TemporaryDrop"
+PERMANENT_EVENT = "PermanentDrop"
+CRITICAL_EVENT = "CriticalFailure"
 
 
 @_checked
@@ -430,14 +418,11 @@ def _mems_band_drop(drop_db: float, a0_db: float, baseline_db: float) -> float:
     return drop_db * w if w > 0 else 0.0
 
 
-_NO_CHANGE = ExposureOutcome(OutcomeKind.NO_CHANGE)
-
-
 def apply_exposure(
     state: AttenuatorState, power_w: float, duration_s: float
-) -> tuple[AttenuatorState, ExposureOutcome]:
+) -> tuple[AttenuatorState, str]:
     """Expose the attenuator to c.w. power for a duration; returns the state
-    after it and the outcome.
+    after it and its event.
 
     Randomness is drawn from the seed at construction, or for a VDMC point's
     dip at the exposure that first clears the law, so a trajectory is fixed
@@ -451,24 +436,23 @@ def apply_exposure(
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
 
     if power_w == 0.0:
-        return state, _NO_CHANGE
+        return state, NO_CHANGE_EVENT
     return _EXPOSE[state.klass](state, power_w, watts_to_dbm(power_w), duration_s)
 
 
 # Each _expose_* function returns the state after a nonzero exposure, and its
-# outcome.
+# event.
 def _expose_fixed(state: AttenuatorState, power_w, p_dbm, duration_s):
     if state.fate is Fate.FAILURE and p_dbm >= state.sampled_failure_threshold_dbm:
-        increase = state.failure_increase_db
         blocked = state._replace(
-            destroyed=True, thermal_offset_db=0.0, blocked_db=state.setpoint_db + increase
+            destroyed=True, thermal_offset_db=0.0,
+            blocked_db=state.setpoint_db + state.failure_increase_db,
         )
-        return blocked, ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, increase)
+        return blocked, CRITICAL_EVENT
     if p_dbm >= state.sampled_attack_threshold_dbm:
         offset = state.drop_db * _fixed_heat_scale(state.profile, power_w)
-        outcome = ExposureOutcome(OutcomeKind.TEMPORARY_DROP, offset)
-        return state._replace(thermal_offset_db=offset), outcome
-    return state, _NO_CHANGE
+        return state._replace(thermal_offset_db=offset), TEMPORARY_EVENT
+    return state, NO_CHANGE_EVENT
 
 
 def _fixed_heat_scale(profile: DamageProfile, power_w: float) -> float:
@@ -478,9 +462,7 @@ def _fixed_heat_scale(profile: DamageProfile, power_w: float) -> float:
 
 def _expose_mems(state: AttenuatorState, power_w, p_dbm, duration_s):
     if state.fate is Fate.FAILURE and p_dbm >= state.sampled_failure_threshold_dbm:
-        rise = MEMS_BLOCKED_DB - mems_voltage_to_attenuation(state.control)
-        outcome = ExposureOutcome(OutcomeKind.CRITICAL_FAILURE, rise)
-        return state._replace(destroyed=True, blocked_db=MEMS_BLOCKED_DB), outcome
+        return state._replace(destroyed=True, blocked_db=MEMS_BLOCKED_DB), CRITICAL_EVENT
     if (
         state.fate is Fate.SUCCESS
         and not state.mems_damaged
@@ -488,11 +470,9 @@ def _expose_mems(state: AttenuatorState, power_w, p_dbm, duration_s):
     ):
         damaged = state._replace(mems_damaged=True)
         # none shows below the damage band or the floor
-        shown = attenuation(damaged) - attenuation(state)
-        if shown < 0:
-            return damaged, ExposureOutcome(OutcomeKind.PERMANENT_DROP, shown)
-        return damaged, _NO_CHANGE
-    return state, _NO_CHANGE
+        shows = attenuation(damaged) < attenuation(state)
+        return damaged, PERMANENT_EVENT if shows else NO_CHANGE_EVENT
+    return state, NO_CHANGE_EVENT
 
 
 def _expose_vdmc(state: AttenuatorState, power_w, p_dbm, duration_s):
@@ -500,13 +480,13 @@ def _expose_vdmc(state: AttenuatorState, power_w, p_dbm, duration_s):
     thr = state.sampled_attack_threshold_dbm
     times, cleared = _exposed_tier_times(old.tier_times_s, thr, p_dbm, duration_s)
     point = old._replace(tier_times_s=times, max_power_w=max(old.max_power_w, power_w))
-    outcome = _NO_CHANGE
+    event = NO_CHANGE_EVENT
     if cleared:
         dip_rng = None if old.damaged else Generator([state.seed, *_dip_tail(state.control)])
-        point, outcome = _damaged_vdmc_point(
+        point, event = _damaged_vdmc_point(
             state, dip_rng, point, power_w, old.max_power_w, p_dbm >= thr
         )
-    return state._replace(vdmc_point=point), outcome
+    return state._replace(vdmc_point=point), event
 
 
 def _exposed_tier_times(times: tuple, thr: float, p_dbm: float, duration_s: float):
@@ -520,32 +500,26 @@ def _exposed_tier_times(times: tuple, thr: float, p_dbm: float, duration_s: floa
 
 def _damaged_vdmc_point(
     state: AttenuatorState, dip_rng, point: VdmcPoint, power_w, max_power_w, optimal: bool
-) -> tuple[VdmcPoint, ExposureOutcome]:
+) -> tuple[VdmcPoint, str]:
     """`point` after an exposure at power_w that clears the law, with its
-    outcome: max_power_w is the highest power the point saw before, and an
+    event: max_power_w is the highest power the point saw before, and an
     undamaged one draws its dip from `dip_rng`. `state` gives the profile and control."""
     if point.damaged:
         # repeated exposure at clearly higher power deepens the dip with
         # diminishing returns; damage never self-heals
         if not power_w > max_power_w + VDMC_DEEPEN_MARGIN_W:
-            return point, _NO_CHANGE
+            return point, NO_CHANGE_EVENT
         count = point.deepen_count + 1
         deeper = point._replace(
             deepen_count=count,
             depth_db=point.depth_db + point.depth_db * VDMC_DEEPEN_FACTOR ** count,
         )
-        delta = _measured_vdmc_delta(state, deeper) - _measured_vdmc_delta(state, point)
-        if delta < 0:
-            return deeper, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
-        return deeper, _NO_CHANGE
+        shows = _measured_vdmc_delta(state, deeper) < _measured_vdmc_delta(state, point)
+        return deeper, PERMANENT_EVENT if shows else NO_CHANGE_EVENT
 
     point = _drawn_vdmc_point(state, dip_rng, point, optimal)
-    if not point.damaged:
-        return point, _NO_CHANGE
-    delta = _measured_vdmc_delta(state, point)
-    if delta >= 0:
-        return point, _NO_CHANGE
-    return point, ExposureOutcome(OutcomeKind.PERMANENT_DROP, delta)
+    shows = point.damaged and _measured_vdmc_delta(state, point) < 0
+    return point, PERMANENT_EVENT if shows else NO_CHANGE_EVENT
 
 
 def _dip_tail(control: float) -> tuple[int, int]:
@@ -596,7 +570,7 @@ _ATTENUATION = {
 }
 
 _EXPOSE = {
-    AttenuatorClass.MANUAL_VOA: lambda state, power_w, p_dbm, duration_s: (state, _NO_CHANGE),
+    AttenuatorClass.MANUAL_VOA: lambda state, power_w, p_dbm, duration_s: (state, NO_CHANGE_EVENT),
     AttenuatorClass.FIXED: _expose_fixed,
     AttenuatorClass.MEMS_VOA: _expose_mems,
     AttenuatorClass.VDMC_VOA: _expose_vdmc,
@@ -607,16 +581,20 @@ def cool_down(state: AttenuatorState, elapsed_s: float) -> AttenuatorState:
     """Exponential decay of the thermal offset; permanent damage untouched."""
     if not elapsed_s >= 0:  # NaN fails too
         raise ValueError(f"elapsed_s must be >= 0, got {elapsed_s}")
-    offset = _cooled_offset(state.thermal_offset_db, state.profile.recovery_tau_s, elapsed_s)
-    return state._replace(thermal_offset_db=offset)
+    factor = _cooling_factor(state.profile.recovery_tau_s, elapsed_s)
+    return state._replace(thermal_offset_db=_cooled(state.thermal_offset_db, factor))
 
 
-def _cooled_offset(offset_db: float, tau_s: float, elapsed_s: float) -> float:
-    """Thermal offset after cooling for elapsed_s; a factor that underflows
-    to 0 cools fully, even an infinite offset."""
+def _cooling_factor(tau_s: float, elapsed_s: float) -> float:
+    """Share of a thermal offset left after cooling for elapsed_s; 1.0 for
+    none, which leaves every offset's bits as they were, inf included."""
     if elapsed_s == 0:
-        return offset_db
-    factor = math.exp(-elapsed_s / tau_s) if tau_s > 0 else 0.0
+        return 1.0
+    return math.exp(-elapsed_s / tau_s) if tau_s > 0 else 0.0
+
+
+def _cooled(offset_db: float, factor: float) -> float:
+    """offset_db cooled by `factor`; a factor of 0 cools fully, even an infinite offset."""
     return offset_db * factor if factor > 0 else 0.0
 
 
@@ -629,17 +607,14 @@ def _cooled_offset(offset_db: float, tau_s: float, elapsed_s: float) -> float:
 # from the first whose exposure can change the specimen, as run_campaign and
 # apply_exposure give them, bit for bit; each earlier rung reads `baseline`
 # with NoChange. A specimen over a threshold at one rung is over it at every
-# later one, so `bisect` finds that rung. An enum's `value` is slow, so the
-# events are bound once, here, for the walks and the engine that runs them.
-NO_CHANGE_EVENT, TEMPORARY_EVENT, PERMANENT_EVENT, CRITICAL_EVENT = (
-    kind.value for kind in OutcomeKind
-)
+# later one, so `bisect` finds that rung.
 
 
 def _fixed_rungs(first, baseline, p_w, p_dbm, config):
     profile, setpoint = first.profile, first.setpoint_db
-    floor, tau_s = profile.insertion_loss_floor_db, profile.recovery_tau_s
+    floor = profile.insertion_loss_floor_db
     scales = [_fixed_heat_scale(profile, w) for w in p_w]
+    factor = _cooling_factor(profile.recovery_tau_s, config.cooldown_s)  # the same every rung
 
     def walk(rng):
         thr_a, thr_f, fate, drop_db, increase_db = _draws(first.klass, profile, rng)
@@ -650,7 +625,7 @@ def _fixed_rungs(first, baseline, p_w, p_dbm, config):
                 yield k, blocked, blocked, CRITICAL_EVENT
                 return
             offset = drop_db * scales[k]
-            cooled = _cooled_offset(offset, tau_s, config.cooldown_s)
+            cooled = _cooled(offset, factor)
             yield k, max(setpoint + offset, floor), max(setpoint + cooled, floor), TEMPORARY_EVENT
 
     return walk, [()]
@@ -693,12 +668,12 @@ def _vdmc_rungs(first, baseline, p_w, p_dbm, config):
             # power never falls, so the highest the point saw is the rung before's
             highest_w = p_w[k - 1] if k else 0.0
             optimal = p_dbm[k] >= thr
-            point, outcome = _damaged_vdmc_point(first, dip_rng, point, p_w[k], highest_w, optimal)
+            point, event = _damaged_vdmc_point(first, dip_rng, point, p_w[k], highest_w, optimal)
             if not point.damaged:  # every later draw gives the same
                 return
             # no exposure heats a VDMC, so after equals immediate
             after = max(control + _vdmc_dip_db(point, control), floor)
-            yield k, after, after, outcome.kind.value
+            yield k, after, after, event
 
     return walk, [(), _dip_tail(control)]
 

@@ -28,11 +28,12 @@ from .fiber import (
 from .attenuators import (
     CRITICAL_EVENT,
     NO_CHANGE_EVENT,
+    PERMANENT_EVENT,
     RUNG_READOUTS,
+    TEMPORARY_EVENT,
     AttenuatorClass,
     AttenuatorState,
     DamageProfile,
-    OutcomeKind,
     apply_exposure,
     attenuation,
     cool_down,
@@ -214,11 +215,11 @@ def run_campaign(
             immediate = after = before
             duration, event = 0.0, FUSE_TRIP
         else:
-            state, exposure = apply_exposure(state, p_delivered, config.dwell_s)
+            state, event = apply_exposure(state, p_delivered, config.dwell_s)
             immediate = attenuation(state)
             state = cool_down(state, config.cooldown_s)
             after = attenuation(state)
-            duration, event = config.dwell_s, exposure.kind.value
+            duration = config.dwell_s
         steps.append(
             CampaignStep(
                 power_dbm_set=p_set,
@@ -282,9 +283,8 @@ def trial_seeds(master_seed: int, n_trials: int, offset: int = 0) -> list[int]:
 # engine's memory independent of n_trials.
 _BATCH_TRIALS = 256
 
-# A step's event is one of STEP_EVENTS: the exposure outcome kinds, then the
-# fuse trip.
-STEP_EVENTS = (*(kind.value for kind in OutcomeKind), FUSE_TRIP)
+# A step's event is one of STEP_EVENTS: an exposure's four, then the fuse trip.
+STEP_EVENTS = (NO_CHANGE_EVENT, TEMPORARY_EVENT, PERMANENT_EVENT, CRITICAL_EVENT, FUSE_TRIP)
 
 
 class Trial(NamedTuple):
@@ -338,8 +338,9 @@ def _trials(
     unchanged = [NO_CHANGE_EVENT] * n_exposed + [FUSE_TRIP] * fused
     for lo in range(0, n_trials, _BATCH_TRIALS):
         seeds = trial_seeds(seed, min(_BATCH_TRIALS, n_trials - lo), lo)
-        # the block's streams from one hash call, each trial's one per tail
-        streams = Generator.seeded([[trial_seed, *tail] for trial_seed in seeds for tail in tails])
+        # the block's streams from one hash call, each trial's one per tail, if any
+        entropies = [[trial_seed, *tail] for trial_seed in seeds for tail in tails]
+        streams = Generator.seeded(entropies) if entropies else None
         for trial_seed in seeds:
             immediate = [baseline] * len(rungs)
             after = immediate.copy()

@@ -17,7 +17,6 @@ from attenattack import (
     CampaignConfig,
     FiberLink,
     LaserSource,
-    OutcomeKind,
     Prior,
     RiskQuery,
     TestRecord,
@@ -34,7 +33,7 @@ from attenattack import (
     srs_threshold,
     threshold_curve,
 )
-from attenattack.attenuators import Fate
+from attenattack.attenuators import PERMANENT_EVENT, TEMPORARY_EVENT, Fate
 
 
 def _pass(n, name):
@@ -139,8 +138,8 @@ def test_08_fixed_thermodynamics():
         is Fate.SUCCESS
     )
     state = new_attenuator(AttenuatorClass.FIXED, None, 25.0, seed=seed)
-    state, out = apply_exposure(state, 4.0, 300.0)
-    assert out.kind is OutcomeKind.TEMPORARY_DROP
+    state, event = apply_exposure(state, 4.0, 300.0)
+    assert event == TEMPORARY_EVENT
     immediate = attenuation(state)
     assert immediate == pytest.approx(25.0 - 2.0, abs=0.5)
     recovered = cool_down(state, 600.0)
@@ -152,10 +151,10 @@ def test_09_vdmc_floor_and_locality():
     damaged_seeds = 0
     for seed in range(60):
         state = new_attenuator(AttenuatorClass.VDMC_VOA, None, 53.0, seed=seed)
-        state, out = apply_exposure(state, 2.8, 10.0)
+        state, event = apply_exposure(state, 2.8, 10.0)
         for setting in np.linspace(52.0, 54.0, 41):
             assert attenuation(state, float(setting)) >= 1.7
-        if out.kind is OutcomeKind.PERMANENT_DROP:
+        if event == PERMANENT_EVENT:
             damaged_seeds += 1
             assert attenuation(state, 53.5) == pytest.approx(53.5, abs=1e-9)
             assert attenuation(state, 52.5) == pytest.approx(52.5, abs=1e-9)

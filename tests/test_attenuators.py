@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from attenattack import attenuators
 from attenattack.attenuators import (
+    CRITICAL_EVENT,
+    NO_CHANGE_EVENT,
+    PERMANENT_EVENT,
+    TEMPORARY_EVENT,
     AttenuatorClass,
     DEFAULT_PROFILES,
     DamageProfile,
     Fate,
-    OutcomeKind,
     ProfileConfigError,
     apply_exposure,
     attenuation,
@@ -23,6 +26,8 @@ from attenattack.attenuators import (
     profile_from_dict,
     profile_to_dict,
 )
+from attenattack.campaign import STEP_EVENTS
+from attenattack.fiber import dbm_to_watts
 
 
 def find_seed(klass, fate, setpoint=None, limit=200):
@@ -38,8 +43,8 @@ def vdmc_seed_with_threshold_below(p_dbm, setpoint=53.0, limit=200):
     for seed in range(limit):
         st_ = new_attenuator(AttenuatorClass.VDMC_VOA, None, setpoint, seed=seed)
         if st_.sampled_attack_threshold_dbm <= p_dbm:
-            st2, out = apply_exposure(st_, 10 ** (p_dbm / 10) / 1000, 10.0)
-            if out.kind is OutcomeKind.PERMANENT_DROP:
+            _, event = apply_exposure(st_, 10 ** (p_dbm / 10) / 1000, 10.0)
+            if event == PERMANENT_EVENT:
                 return seed
     raise AssertionError("no suitable VDMC seed found")
 
@@ -85,8 +90,8 @@ class TestConstruction:
 class TestManualVoa:
     def test_max_power_no_change(self):
         state = new_attenuator(AttenuatorClass.MANUAL_VOA, None, 31.0, seed=3)
-        state, out = apply_exposure(state, 9.0, 1200.0)
-        assert out.kind is OutcomeKind.NO_CHANGE
+        state, event = apply_exposure(state, 9.0, 1200.0)
+        assert event == NO_CHANGE_EVENT
         assert attenuation(state) == 31.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=9.0), max_size=8))
@@ -113,8 +118,8 @@ class TestFixed:
     def test_temporary_drop_then_recovery(self):
         seed = find_seed(AttenuatorClass.FIXED, Fate.SUCCESS, 25.0)
         state = new_attenuator(AttenuatorClass.FIXED, None, 25.0, seed=seed)
-        state, out = apply_exposure(state, 4.0, 300.0)
-        assert out.kind is OutcomeKind.TEMPORARY_DROP
+        state, event = apply_exposure(state, 4.0, 300.0)
+        assert event == TEMPORARY_EVENT
         assert attenuation(state) == pytest.approx(23.0, abs=0.5)
         recovered = cool_down(state, 600.0)
         assert attenuation(recovered) == pytest.approx(25.0, abs=0.1)
@@ -125,6 +130,14 @@ class TestFixed:
         state, _ = apply_exposure(state, 4.0, 60.0)
         same = cool_down(state, 0.0)
         assert same.thermal_offset_db == state.thermal_offset_db
+
+    @pytest.mark.parametrize("tau_s", [150.0, 0.0])
+    @pytest.mark.parametrize("offset", [-1.37, -0.0, -math.inf, -5e-324])
+    def test_cooldown_zero_elapsed_keeps_every_bit(self, offset, tau_s):
+        state = new_attenuator(AttenuatorClass.FIXED, seed=1)
+        state = state._replace(profile=state.profile._replace(recovery_tau_s=tau_s))
+        same = cool_down(state._replace(thermal_offset_db=offset), 0.0)
+        assert same.thermal_offset_db.hex() == offset.hex()
 
     def test_exponential_decay_constant(self):
         seed = find_seed(AttenuatorClass.FIXED, Fate.SUCCESS, 25.0)
@@ -139,17 +152,16 @@ class TestFixed:
     def test_critical_failure_blocks(self):
         seed = find_seed(AttenuatorClass.FIXED, Fate.FAILURE, 25.0)
         state = new_attenuator(AttenuatorClass.FIXED, None, 25.0, seed=seed)
-        state, out = apply_exposure(state, 8.0, 10.0)  # 39 dBm, above any threshold
-        assert out.kind is OutcomeKind.CRITICAL_FAILURE
-        assert out.delta_db >= 20.0
-        assert attenuation(state) >= 45.0
+        state, event = apply_exposure(state, 8.0, 10.0)  # 39 dBm, above any threshold
+        assert event == CRITICAL_EVENT
+        assert attenuation(state) - 25.0 >= 20.0
         with pytest.raises(ValueError):
             apply_exposure(state, 1.0, 10.0)
 
     def test_below_threshold_no_change(self):
         state = new_attenuator(AttenuatorClass.FIXED, None, 25.0, seed=0)
-        state, out = apply_exposure(state, 0.5, 60.0)  # 27 dBm
-        assert out.kind is OutcomeKind.NO_CHANGE
+        state, event = apply_exposure(state, 0.5, 60.0)  # 27 dBm
+        assert event == NO_CHANGE_EVENT
         assert attenuation(state) == 25.0
 
     def test_never_permanent_drop(self):
@@ -190,8 +202,8 @@ class TestFixed:
         profile = DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(attack_threshold_dbm=-3200.0)
         for seed in range(10):
             state = new_attenuator(AttenuatorClass.FIXED, profile, 25.0, seed=seed)
-            _, out = apply_exposure(state, 4.0, 60.0)
-            assert out.kind in (OutcomeKind.TEMPORARY_DROP, OutcomeKind.CRITICAL_FAILURE)
+            _, event = apply_exposure(state, 4.0, 60.0)
+            assert event in (TEMPORARY_EVENT, CRITICAL_EVENT)
 
     def test_profile_without_successes_may_draw_any_drop(self):
         profile = DEFAULT_PROFILES[AttenuatorClass.FIXED]._replace(
@@ -208,9 +220,10 @@ class TestMems:
     def test_permanent_drop_in_damaged_band(self):
         seed = find_seed(AttenuatorClass.MEMS_VOA, Fate.SUCCESS, 30.0)
         state = new_attenuator(AttenuatorClass.MEMS_VOA, None, 30.0, seed=seed)
-        state, out = apply_exposure(state, 6.0, 10.0)
-        assert out.kind is OutcomeKind.PERMANENT_DROP
-        assert out.delta_db <= -1.0
+        before = attenuation(state)
+        state, event = apply_exposure(state, 6.0, 10.0)
+        assert event == PERMANENT_EVENT
+        assert attenuation(state) - before <= -1.0
         # damaged at the setpoint: strictly below the 30 dB baseline
         assert attenuation(state) < 30.0
         # low-attenuation settings are outside the damaged band
@@ -229,8 +242,8 @@ class TestMems:
     def test_catastrophic_failure(self):
         seed = find_seed(AttenuatorClass.MEMS_VOA, Fate.FAILURE, 30.0)
         state = new_attenuator(AttenuatorClass.MEMS_VOA, None, 30.0, seed=seed)
-        state, out = apply_exposure(state, 7.0, 10.0)  # 38.5 dBm
-        assert out.kind is OutcomeKind.CRITICAL_FAILURE
+        state, event = apply_exposure(state, 7.0, 10.0)  # 38.5 dBm
+        assert event == CRITICAL_EVENT
         assert attenuation(state) >= 70.0
 
 
@@ -238,10 +251,9 @@ class TestVdmc:
     def test_optimal_exposure_damages_and_is_local(self):
         seed = vdmc_seed_with_threshold_below(34.47)
         state = new_attenuator(AttenuatorClass.VDMC_VOA, None, 53.0, seed=seed)
-        state, out = apply_exposure(state, 2.8, 10.0)
-        assert out.kind is OutcomeKind.PERMANENT_DROP
-        assert out.delta_db <= -1.0
-        assert attenuation(state, 53.0) < 53.0
+        state, event = apply_exposure(state, 2.8, 10.0)
+        assert event == PERMANENT_EVENT
+        assert attenuation(state) - 53.0 <= -1.0
         # curve restored at half a dB-of-setting away
         assert attenuation(state, 53.5) == pytest.approx(53.5)
         assert attenuation(state, 52.5) == pytest.approx(52.5)
@@ -258,35 +270,36 @@ class TestVdmc:
         seed = vdmc_seed_with_threshold_below(34.47)
         state = new_attenuator(AttenuatorClass.VDMC_VOA, None, 53.0, seed=seed)
         p_w = 10 ** ((state.sampled_attack_threshold_dbm - 1.45) / 10) / 1000
-        kinds = []
+        events = []
         for _ in range(20):
-            state, out = apply_exposure(state, p_w, 10.0)
-            kinds.append(out.kind)
-        assert OutcomeKind.PERMANENT_DROP in kinds
-        idx = kinds.index(OutcomeKind.PERMANENT_DROP)
+            state, event = apply_exposure(state, p_w, 10.0)
+            events.append(event)
+        assert PERMANENT_EVENT in events
+        idx = events.index(PERMANENT_EVENT)
         assert idx >= 19  # 200 s of accumulated bursts
-        assert all(k is OutcomeKind.NO_CHANGE for k in kinds[:idx])
+        assert events[:idx] == [NO_CHANGE_EVENT] * idx
 
     def test_below_law_never_damages(self):
         state = new_attenuator(AttenuatorClass.VDMC_VOA, None, 53.0, seed=0)
         p_w = 10 ** ((state.sampled_attack_threshold_dbm - 2.0) / 10) / 1000
         for _ in range(50):
-            state, out = apply_exposure(state, p_w, 10.0)
-            assert out.kind is OutcomeKind.NO_CHANGE
+            state, event = apply_exposure(state, p_w, 10.0)
+            assert event == NO_CHANGE_EVENT
         assert attenuation(state, 53.0) == 53.0
 
     def test_escalating_power_deepens_with_diminishing_returns(self):
         seed = vdmc_seed_with_threshold_below(34.47)
         state = new_attenuator(AttenuatorClass.VDMC_VOA, None, 53.0, seed=seed)
-        state, first = apply_exposure(state, 2.8, 10.0)
-        a1 = attenuation(state, 53.0)
-        state, second = apply_exposure(state, 4.5, 10.0)
-        a2 = attenuation(state, 53.0)
-        state, third = apply_exposure(state, 6.8, 10.0)
-        a3 = attenuation(state, 53.0)
+        events, readouts = [], []
+        for p_w in (2.8, 4.5, 6.8):
+            state, event = apply_exposure(state, p_w, 10.0)
+            events.append(event)
+            readouts.append(attenuation(state, 53.0))
+        a1, a2, a3 = readouts
+        assert events == [PERMANENT_EVENT] * 3
         assert a2 < a1 and a3 < a2
         assert (a1 - a2) > (a2 - a3)  # diminishing returns
-        assert abs(second.delta_db) < abs(first.delta_db)
+        assert a2 - a1 > a1 - 53.0  # the second drop is shallower than the first
 
     def test_damage_never_heals(self):
         seed = vdmc_seed_with_threshold_below(34.47)
@@ -333,9 +346,10 @@ class TestExposureValidation:
             state = new_attenuator(AttenuatorClass.VDMC_VOA, None, 53.0, seed=seed)
             trace = []
             for p in [1.0, 2.0, 2.8, 4.0]:
-                state, out = apply_exposure(state, p, 10.0)
+                state, event = apply_exposure(state, p, 10.0)
+                immediate = attenuation(state)
                 state = cool_down(state, 10.0)
-                trace.append((out.kind, out.delta_db, attenuation(state)))
+                trace.append((event, immediate, attenuation(state)))
             return trace
 
         assert run(17) == run(17)
@@ -393,6 +407,52 @@ class TestExposureValidation:
             with pytest.raises(ValueError, match="out of range"):
                 attenuation(state, control)
         assert attenuation(state, lo) >= 0 and attenuation(state, hi) >= 0
+
+
+# The events each class's specimens report over the sweep below, with the
+# shipped profile and with one whose insertion-loss floor holds every readout.
+SWEEP_EVENTS = {
+    AttenuatorClass.MANUAL_VOA: ({NO_CHANGE_EVENT}, {NO_CHANGE_EVENT}),
+    AttenuatorClass.FIXED: (
+        {NO_CHANGE_EVENT, TEMPORARY_EVENT, CRITICAL_EVENT},
+        {NO_CHANGE_EVENT, TEMPORARY_EVENT, CRITICAL_EVENT},
+    ),
+    AttenuatorClass.MEMS_VOA: (
+        {NO_CHANGE_EVENT, PERMANENT_EVENT, CRITICAL_EVENT}, {NO_CHANGE_EVENT, CRITICAL_EVENT}
+    ),
+    AttenuatorClass.VDMC_VOA: ({NO_CHANGE_EVENT, PERMANENT_EVENT}, {NO_CHANGE_EVENT}),
+}
+
+
+@pytest.mark.parametrize("floor_holds", [False, True], ids=["shipped", "floor-80"])
+@pytest.mark.parametrize("klass", list(AttenuatorClass), ids=lambda klass: klass.value)
+def test_exposure_events_follow_their_readouts(klass, floor_holds):
+    # every event is one a step may carry; a permanent drop lowers the readout,
+    # a temporary one holds a negative thermal offset and raises nothing, and a
+    # critical failure raises it unless the floor holds it
+    profile = DEFAULT_PROFILES[klass]
+    if floor_holds:
+        profile = profile._replace(insertion_loss_floor_db=80.0)
+    floor = profile.insertion_loss_floor_db
+    seen = set()
+    for seed in range(40):
+        state = new_attenuator(klass, profile, seed=seed)
+        # 0 W, then the default campaign ladder: 25 to 39.5 dBm in 0.5 dB steps
+        for power_w in [0.0, *(dbm_to_watts(25.0 + 0.5 * i) for i in range(30))]:
+            before = attenuation(state)
+            state, event = apply_exposure(state, power_w, 10.0)
+            assert event in STEP_EVENTS
+            seen.add(event)
+            now = attenuation(state)
+            if event == PERMANENT_EVENT:
+                assert now < before
+            elif event == CRITICAL_EVENT:
+                assert now > before or now == before == floor
+                break
+            elif event == TEMPORARY_EVENT:
+                assert state.thermal_offset_db < 0 and now <= before
+            state = cool_down(state, 10.0)
+    assert seen == SWEEP_EVENTS[klass][floor_holds]
 
 
 class TestProfiles:

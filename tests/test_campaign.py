@@ -676,6 +676,16 @@ def test_monte_carlo_checks_its_inputs_once(klass, n_trials):
     assert build.call_count <= 1
 
 
+@pytest.mark.parametrize("klass", list(AttenuatorClass), ids=lambda klass: klass.value)
+def test_only_a_class_that_draws_seeds_streams(klass):
+    # the run's first specimen seeds its stream, then each block of 256 trials
+    # hashes its streams in one call; a manual VOA draws nothing, so seeds none
+    seeded = patch.object(campaign.Generator, "seeded", wraps=campaign.Generator.seeded)
+    with seeded as seed:
+        monte_carlo(CampaignConfig(), klass, n_trials=300, seed=5)
+    assert seed.call_count == (0 if klass is AttenuatorClass.MANUAL_VOA else 1 + 2)
+
+
 # an observer that keeps nothing: the engine keeps no trial past its call
 @pytest.mark.parametrize("on_trial", [None, lambda trial: None], ids=["summary", "observed"])
 @pytest.mark.parametrize(

@@ -12,19 +12,13 @@ import sys
 
 import pytest
 
-from attenattack.attenuators import (
-    DEFAULT_PROFILES,
-    AttenuatorClass,
-    ExposureOutcome,
-    OutcomeKind,
-)
+from attenattack.attenuators import DEFAULT_PROFILES, AttenuatorClass
 from attenattack.campaign import CampaignConfig
 from attenattack.fiber import FiberLink, LaserSource
 from attenattack.risk import RiskQuery, TestRecord
 
 # a valid record of each class, and a field value that makes it invalid
 RECORDS = [
-    (ExposureOutcome(OutcomeKind.PERMANENT_DROP, -1.0), "delta_db", 1.0),
     (DEFAULT_PROFILES[AttenuatorClass.FIXED], "success_probability", 1.5),
     (CampaignConfig(), "step_dbm", 2.0),
     (FiberLink(length_km=1.0), "length_km", 0.0),
